@@ -490,6 +490,44 @@ expect_usage_error "serve with a bad port rejected" serve --port 99999
 expect_usage_error "route without backends rejected" route
 expect_usage_error "route with a bad shard spec rejected" route --shard bogus
 
+# expect_flag_error <description> <needle> <argv...>: a usage error
+# (exit 2) whose stderr contains the needle, within 5 s — a daemon that
+# accepted the bad flag would start and block instead.
+expect_flag_error() {
+  local desc="$1" needle="$2"
+  shift 2
+  local err
+  err="$(timeout 5 "$RESCQ" "$@" 2>&1 >/dev/null)"
+  local status=$?
+  if [ "$status" -eq 2 ] && grep -qF -- "$needle" <<<"$err"; then
+    echo "ok: $desc"
+  else
+    echo "FAIL: $desc: expected exit 2 naming '$needle', got $status"
+    echo "$err" | sed 's/^/    /'
+    failures=$((failures + 1))
+  fi
+}
+
+# Numeric flags are range-checked against the field they set: a limit
+# whose byte count or millisecond value would wrap is refused before
+# the daemon binds a socket, and a port loadgen cannot dial is refused
+# before it connects.
+expect_flag_error "serve rejects a wrapping --max-resident-mb" \
+    "--max-resident-mb" serve --max-resident-mb 17592186044416
+expect_flag_error "serve rejects an --evict-idle-ms above INT64_MAX" \
+    "--evict-idle-ms" serve --evict-idle-ms 9223372036854775808
+expect_flag_error "loadgen rejects an out-of-range --port" \
+    "--port" loadgen --port 99999
+
+# A mistyped flag is named as an unknown flag, not read as a positional.
+expect_flag_error "resilience names an unknown flag" \
+    "unknown resilience flag '--stat'" \
+    resilience "R(x,y), R(y,z)" "$SRC/data/section2_chain.tuples" --stat
+expect_flag_error "stream names an unknown flag" \
+    "unknown stream flag '--stat'" \
+    stream "R(x,y), R(y,z)" "$SRC/data/section2_chain.tuples" \
+    --churn mixed --stat
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures smoke-test failure(s)"
   exit 1

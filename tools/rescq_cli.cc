@@ -14,12 +14,15 @@
 //   rescq gen --scenario vc_er --size 12 --seed 1 --out er.tuples
 //   rescq batch --scenarios all --max-size 8 --threads 4 --check-oracle
 
+#include <algorithm>
 #include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -194,11 +197,105 @@ int Usage(std::FILE* out) {
   return out == stdout ? 0 : 2;
 }
 
+// --- flags -------------------------------------------------------------------
+
+/// One row of a subcommand's flag table: the flag, what its value must
+/// be (`needs`; empty for a switch, which takes no value), and the
+/// setter that writes the target field. A setter returns false when the
+/// value is outside `needs`; ApplyFlags owns every message.
+struct Flag {
+  const char* name;
+  std::string needs;
+  std::function<bool(const std::string&)> set;
+  /// The flag ends the parse: later arguments are ignored (gen --list).
+  bool last = false;
+};
+
+Flag SwitchFlag(const char* name, bool* dst, bool value = true) {
+  return {name, "", [=](const std::string&) {
+            *dst = value;
+            return true;
+          }};
+}
+
+Flag StringFlag(const char* name, std::string* dst) {
+  return {name, "a value", [=](const std::string& v) {
+            *dst = v;
+            return true;
+          }};
+}
+
+Flag PositiveIntFlag(const char* name, int* dst) {
+  return {name, "a positive integer",
+          [=](const std::string& v) { return ParsePositiveInt(v, dst); }};
+}
+
+Flag ProbabilityFlag(const char* name, double* dst) {
+  return {name, "a number in [0,1]",
+          [=](const std::string& v) { return ParseProbability(v, dst); }};
+}
+
+/// A decimal integer in [lo, hi], stored times `scale`. The default
+/// bounds are T's own range, so no accepted value wraps or turns
+/// negative in the target field.
+template <typename T>
+Flag UintFlag(const char* name, T* dst, uint64_t lo = 0,
+              uint64_t hi = std::numeric_limits<T>::max(), uint64_t scale = 1) {
+  std::string needs = lo == 0 && hi == UINT64_MAX
+                          ? "an unsigned integer"
+                          : StrFormat("%llu..%llu",
+                                      static_cast<unsigned long long>(lo),
+                                      static_cast<unsigned long long>(hi));
+  return {name, needs, [=](const std::string& v) {
+            uint64_t u = 0;
+            if (!ParseUint64(v, &u) || u < lo || u > hi) return false;
+            *dst = static_cast<T>(u * scale);
+            return true;
+          }};
+}
+
+Flag PortFlag(const char* name, int* dst, uint64_t lo) {
+  return UintFlag(name, dst, lo, 65535);
+}
+
+/// Applies `args` to the flag table in order. A non-flag argument goes
+/// to *positional, or counts as an unknown flag when the command takes
+/// no positionals. Returns false, with the message printed, on an
+/// unknown flag, a missing value or a value outside its flag's range.
+bool ApplyFlags(const char* cmd, const std::vector<Flag>& flags,
+                const std::vector<std::string>& args,
+                std::vector<std::string>* positional = nullptr) {
+  for (size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    auto flag = std::find_if(flags.begin(), flags.end(),
+                             [&](const Flag& f) { return a == f.name; });
+    if (flag == flags.end()) {
+      if (positional == nullptr || a.rfind("--", 0) == 0) {
+        std::fprintf(stderr, "error: unknown %s flag '%s'\n", cmd, a.c_str());
+        return false;
+      }
+      positional->push_back(a);
+    } else if (flag->needs.empty()) {
+      flag->set(a);
+      if (flag->last) return true;
+    } else if (i + 1 >= args.size()) {
+      std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
+      return false;
+    } else if (!flag->set(args[++i])) {
+      std::fprintf(stderr, "error: %s needs %s, got '%s'\n", a.c_str(),
+                   flag->needs.c_str(), args[i].c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Shared `--metrics-json` / `--trace-out` handling for the solving
 /// commands (resilience | batch | stream): either path arms its sink
 /// before the run (Arm) and writes the file after it (Flush). With
 /// neither flag the instrumentation stays disabled and costs one
-/// relaxed load per call site.
+/// relaxed load per call site. serve and route flush only the metrics
+/// snapshot, at shutdown.
 struct ObsSinks {
   std::string metrics_path;
   std::string trace_path;
@@ -228,39 +325,54 @@ struct ObsSinks {
   }
 };
 
-/// Resolves the query argument: either a literal query string or, after
-/// `--name`, a PaperCatalog() entry. Returns nullopt (with a message
+/// Resolves the query: the PaperCatalog() entry named by `--name` when
+/// one is given, else the first positional argument (taken off
+/// *positional) parsed as a query. Returns nullopt (with a message
 /// printed) on failure.
-std::optional<Query> ResolveQuery(const std::vector<std::string>& args,
-                                  size_t* consumed) {
-  if (args.empty()) {
-    std::fprintf(stderr, "error: missing query argument\n");
-    return std::nullopt;
-  }
-  if (args[0] == "--name") {
-    if (args.size() < 2) {
-      std::fprintf(stderr, "error: --name needs a catalog query name\n");
-      return std::nullopt;
-    }
-    std::optional<CatalogEntry> entry = FindCatalogEntry(args[1]);
+std::optional<Query> ResolveQuery(const std::string& catalog_name,
+                                  std::vector<std::string>* positional) {
+  if (!catalog_name.empty()) {
+    std::optional<CatalogEntry> entry = FindCatalogEntry(catalog_name);
     if (!entry) {
       std::fprintf(stderr,
                    "error: no catalog query named '%s' (try `rescq "
                    "catalog`)\n",
-                   args[1].c_str());
+                   catalog_name.c_str());
       return std::nullopt;
     }
-    *consumed = 2;
     return MustParseQuery(entry->text);
   }
-  ParseResult parsed = ParseQuery(args[0]);
+  if (positional->empty()) {
+    std::fprintf(stderr, "error: missing query argument\n");
+    return std::nullopt;
+  }
+  ParseResult parsed = ParseQuery(positional->front());
   if (!parsed.ok) {
     std::fprintf(stderr, "error: cannot parse query: %s\n",
                  parsed.error.c_str());
     return std::nullopt;
   }
-  *consumed = 1;
+  positional->erase(positional->begin());
   return parsed.query;
+}
+
+/// The whole command line of classify / explain: one query and nothing
+/// else.
+std::optional<Query> QueryOnly(const char* cmd,
+                               const std::vector<std::string>& args) {
+  std::string catalog_name;
+  std::vector<std::string> positional;
+  if (!ApplyFlags(cmd, {StringFlag("--name", &catalog_name)}, args,
+                  &positional)) {
+    return std::nullopt;
+  }
+  std::optional<Query> q = ResolveQuery(catalog_name, &positional);
+  if (q && !positional.empty()) {
+    std::fprintf(stderr, "error: unexpected argument '%s'\n",
+                 positional[0].c_str());
+    return std::nullopt;
+  }
+  return q;
 }
 
 /// Loads a tuple file into db via db/tuple_io, reporting errors on
@@ -288,88 +400,53 @@ void PrintClassification(const Query& q, const Classification& c) {
 }
 
 int CmdClassify(const std::vector<std::string>& args) {
-  size_t consumed = 0;
-  std::optional<Query> q = ResolveQuery(args, &consumed);
+  std::optional<Query> q = QueryOnly("classify", args);
   if (!q) return 2;
-  if (consumed != args.size()) {
-    std::fprintf(stderr, "error: unexpected argument '%s'\n",
-                 args[consumed].c_str());
-    return 2;
-  }
   PrintClassification(*q, ClassifyResilience(*q));
   return 0;
 }
 
 int CmdResilience(const std::vector<std::string>& args) {
+  std::string catalog_name;
   std::vector<std::string> positional;
   bool exact = false;
   bool stats = false;
-  uint64_t witness_limit = 0;
+  size_t witness_limit = 0;
   uint64_t node_budget = 0;
   int solver_threads = 1;
   ObsSinks sinks;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--exact") {
-      exact = true;
-    } else if (a == "--stats") {
-      stats = true;
-    } else if (a == "--metrics-json" || a == "--trace-out") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a file path\n", a.c_str());
-        return 2;
-      }
-      (a == "--metrics-json" ? sinks.metrics_path : sinks.trace_path) =
-          args[i + 1];
-      ++i;
-    } else if (a == "--witness-limit" || a == "--exact-node-budget") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
-        return 2;
-      }
-      uint64_t* dst = a == "--witness-limit" ? &witness_limit : &node_budget;
-      if (!ParseUint64(args[i + 1], dst)) {
-        std::fprintf(stderr, "error: %s needs an unsigned integer, got '%s'\n",
-                     a.c_str(), args[i + 1].c_str());
-        return 2;
-      }
-      ++i;
-    } else if (a == "--solver-threads") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
-        return 2;
-      }
-      if (!ParsePositiveInt(args[i + 1], &solver_threads)) {
-        std::fprintf(stderr, "error: %s needs a positive integer, got '%s'\n",
-                     a.c_str(), args[i + 1].c_str());
-        return 2;
-      }
-      ++i;
-    } else {
-      positional.push_back(a);
-    }
-  }
-  size_t consumed = 0;
-  std::optional<Query> q = ResolveQuery(positional, &consumed);
+  const std::vector<Flag> flags = {
+      StringFlag("--name", &catalog_name),
+      SwitchFlag("--exact", &exact),
+      SwitchFlag("--stats", &stats),
+      UintFlag("--witness-limit", &witness_limit),
+      UintFlag("--exact-node-budget", &node_budget),
+      PositiveIntFlag("--solver-threads", &solver_threads),
+      StringFlag("--metrics-json", &sinks.metrics_path),
+      StringFlag("--trace-out", &sinks.trace_path),
+  };
+  if (!ApplyFlags("resilience", flags, args, &positional)) return 2;
+  std::optional<Query> q = ResolveQuery(catalog_name, &positional);
   if (!q) return 2;
-  if (positional.size() != consumed + 1) {
+  if (positional.size() != 1) {
     std::fprintf(stderr, "error: expected exactly one tuple file argument\n");
     return 2;
   }
+  const std::string& tuples_path = positional[0];
 
   Database db;
-  if (!LoadTuples(positional[consumed], &db)) return 2;
+  if (!LoadTuples(tuples_path, &db)) return 2;
   for (const std::string& rel : q->RelationNames()) {
     int id = db.RelationId(rel);
     if (id < 0) {
       std::fprintf(stderr, "warning: relation '%s' has no tuples in '%s'\n",
-                   rel.c_str(), positional[consumed].c_str());
+                   rel.c_str(), tuples_path.c_str());
     } else if (db.relation_arity(id) != q->RelationArity(rel)) {
       std::fprintf(stderr,
                    "warning: relation '%s' has arity %d in the query but "
                    "arity %d in '%s'; no fact can match\n",
                    rel.c_str(), q->RelationArity(rel), db.relation_arity(id),
-                   positional[consumed].c_str());
+                   tuples_path.c_str());
     }
   }
 
@@ -398,7 +475,7 @@ int CmdResilience(const std::vector<std::string>& args) {
 
   EngineOptions options;
   options.force_exact = exact;
-  options.witness_limit = static_cast<size_t>(witness_limit);
+  options.witness_limit = witness_limit;
   options.exact_node_budget = node_budget;
   options.solver_threads = solver_threads;
   sinks.Arm();
@@ -466,14 +543,8 @@ int CmdResilience(const std::vector<std::string>& args) {
 }
 
 int CmdExplain(const std::vector<std::string>& args) {
-  size_t consumed = 0;
-  std::optional<Query> q = ResolveQuery(args, &consumed);
+  std::optional<Query> q = QueryOnly("explain", args);
   if (!q) return 2;
-  if (consumed != args.size()) {
-    std::fprintf(stderr, "error: unexpected argument '%s'\n",
-                 args[consumed].c_str());
-    return 2;
-  }
   ResilienceEngine engine;
   std::shared_ptr<const ResiliencePlan> plan = engine.Plan(*q);
   std::fputs(plan->Explain(engine.registry()).c_str(), stdout);
@@ -481,15 +552,17 @@ int CmdExplain(const std::vector<std::string>& args) {
 }
 
 int CmdCatalog(const std::vector<std::string>& args) {
-  if (args.size() > 1) {
+  std::vector<std::string> names;
+  if (!ApplyFlags("catalog", {}, args, &names)) return 2;
+  if (names.size() > 1) {
     std::fprintf(stderr, "error: catalog takes at most one name\n");
     return 2;
   }
-  if (args.size() == 1) {
-    std::optional<CatalogEntry> entry = FindCatalogEntry(args[0]);
+  if (names.size() == 1) {
+    std::optional<CatalogEntry> entry = FindCatalogEntry(names[0]);
     if (!entry) {
       std::fprintf(stderr, "error: no catalog query named '%s'\n",
-                   args[0].c_str());
+                   names[0].c_str());
       return 2;
     }
     std::printf("name:        %s\n", entry->name.c_str());
@@ -518,78 +591,30 @@ int CmdCatalog(const std::vector<std::string>& args) {
 
 // --- gen / batch: the workload subsystem ------------------------------------
 
-bool ParseIntFlag(const std::string& flag, const std::string& value, int* out) {
-  if (!ParsePositiveInt(value, out)) {
-    std::fprintf(stderr, "error: %s needs a positive integer, got '%s'\n",
-                 flag.c_str(), value.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool ParseSeedFlag(const std::string& flag, const std::string& value,
-                   uint64_t* out) {
-  if (!ParseUint64(value, out)) {
-    std::fprintf(stderr, "error: %s needs an unsigned integer, got '%s'\n",
-                 flag.c_str(), value.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool ParseDensityFlag(const std::string& value, double* out) {
-  if (!ParseProbability(value, out)) {
-    std::fprintf(stderr, "error: --density needs a number in [0,1], got '%s'\n",
-                 value.c_str());
-    return false;
-  }
-  return true;
-}
-
 int CmdGen(const std::vector<std::string>& args) {
   std::string scenario_name, out_path, catalog_name;
   ScenarioParams params;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--list") {
-      std::printf("%-15s %-28s %s\n", "scenario", "default query",
-                  "description");
-      for (const Scenario& s : ScenarioCatalog()) {
-        std::printf("%-15s %-28s %s\n", s.name.c_str(), s.query.c_str(),
-                    s.description.c_str());
-      }
-      return 0;
+  bool list = false;
+  Flag list_flag = SwitchFlag("--list", &list);
+  list_flag.last = true;
+  const std::vector<Flag> flags = {
+      list_flag,
+      StringFlag("--scenario", &scenario_name),
+      PositiveIntFlag("--size", &params.size),
+      ProbabilityFlag("--density", &params.density),
+      UintFlag("--seed", &params.seed),
+      StringFlag("--out", &out_path),
+      StringFlag("--name", &catalog_name),
+  };
+  if (!ApplyFlags("gen", flags, args)) return 2;
+  if (list) {
+    std::printf("%-15s %-28s %s\n", "scenario", "default query",
+                "description");
+    for (const Scenario& s : ScenarioCatalog()) {
+      std::printf("%-15s %-28s %s\n", s.name.c_str(), s.query.c_str(),
+                  s.description.c_str());
     }
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    if (a == "--scenario") {
-      if (!(v = value("--scenario"))) return 2;
-      scenario_name = *v;
-    } else if (a == "--size") {
-      if (!(v = value("--size")) || !ParseIntFlag(a, *v, &params.size))
-        return 2;
-    } else if (a == "--density") {
-      if (!(v = value("--density")) || !ParseDensityFlag(*v, &params.density))
-        return 2;
-    } else if (a == "--seed") {
-      if (!(v = value("--seed")) || !ParseSeedFlag(a, *v, &params.seed))
-        return 2;
-    } else if (a == "--out") {
-      if (!(v = value("--out"))) return 2;
-      out_path = *v;
-    } else if (a == "--name") {
-      if (!(v = value("--name"))) return 2;
-      catalog_name = *v;
-    } else {
-      std::fprintf(stderr, "error: unknown gen flag '%s'\n", a.c_str());
-      return 2;
-    }
+    return 0;
   }
   if (scenario_name.empty()) {
     std::fprintf(stderr, "error: gen needs --scenario <name> (or --list)\n");
@@ -654,102 +679,57 @@ int CmdBatch(const std::vector<std::string>& args) {
   ObsSinks sinks;
   int max_size = 0;
   bool sizes_set = false;
-
-  // A plan file gives the baseline; explicit flags override it, so the
-  // file is parsed first regardless of its position among the flags.
-  for (size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == "--plan") {
+  std::vector<std::string> plan_files;
+  const std::vector<Flag> flags = {
+      {"--plan", "a value",
+       [&](const std::string& v) {
+         plan_files.push_back(v);
+         return true;
+       }},
+      {"--scenarios", "a comma list or 'all'",
+       [&](const std::string& v) {
+         plan.scenarios =
+             v == "all" ? AllScenarioNames() : SplitTrimmed(v, ',');
+         return true;
+       }},
+      {"--names", "a comma list",
+       [&](const std::string& v) {
+         plan.query_names = SplitTrimmed(v, ',');
+         return true;
+       }},
+      {"--sizes", "a comma list of positive integers",
+       [&](const std::string& v) {
+         sizes_set = true;
+         return ParseIntList(v, &plan.sizes);
+       }},
+      PositiveIntFlag("--max-size", &max_size),
+      {"--seeds", "a comma list of unsigned integers",
+       [&](const std::string& v) { return ParseSeedList(v, &plan.seeds); }},
+      ProbabilityFlag("--density", &plan.density),
+      PositiveIntFlag("--threads", &options.threads),
+      PositiveIntFlag("--solver-threads", &options.solver_threads),
+      SwitchFlag("--check-oracle", &options.check_oracle),
+      PositiveIntFlag("--oracle-cutoff", &options.oracle_cutoff),
+      SwitchFlag("--no-memoize", &options.memoize, false),
+      UintFlag("--witness-limit", &options.witness_limit),
+      UintFlag("--exact-node-budget", &options.exact_node_budget),
+      StringFlag("--csv", &csv_path),
+      StringFlag("--json", &json_path),
+      StringFlag("--metrics-json", &sinks.metrics_path),
+      StringFlag("--trace-out", &sinks.trace_path),
+  };
+  if (!ApplyFlags("batch", flags, args)) return 2;
+  if (!plan_files.empty()) {
+    // A plan file gives the baseline and explicit flags override it, so
+    // the flags apply once more on top of the loaded files.
+    for (const std::string& path : plan_files) {
       std::string error;
-      if (!ParsePlanFile(args[i + 1], &plan, &options, &error)) {
+      if (!ParsePlanFile(path, &plan, &options, &error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 2;
       }
     }
-  }
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    if (a == "--plan") {
-      if (!(v = value("--plan"))) return 2;  // parsed in the first pass
-    } else if (a == "--scenarios") {
-      if (!(v = value("--scenarios"))) return 2;
-      plan.scenarios =
-          *v == "all" ? AllScenarioNames() : SplitTrimmed(*v, ',');
-    } else if (a == "--names") {
-      if (!(v = value("--names"))) return 2;
-      plan.query_names = SplitTrimmed(*v, ',');
-    } else if (a == "--sizes") {
-      if (!(v = value("--sizes"))) return 2;
-      sizes_set = true;
-      if (!ParseIntList(*v, &plan.sizes)) {
-        std::fprintf(stderr,
-                     "error: --sizes needs a comma list of positive "
-                     "integers, got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-    } else if (a == "--max-size") {
-      if (!(v = value("--max-size")) || !ParseIntFlag(a, *v, &max_size))
-        return 2;
-    } else if (a == "--seeds") {
-      if (!(v = value("--seeds"))) return 2;
-      if (!ParseSeedList(*v, &plan.seeds)) {
-        std::fprintf(stderr,
-                     "error: --seeds needs a comma list of unsigned "
-                     "integers, got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-    } else if (a == "--density") {
-      if (!(v = value("--density")) || !ParseDensityFlag(*v, &plan.density))
-        return 2;
-    } else if (a == "--threads") {
-      if (!(v = value("--threads")) || !ParseIntFlag(a, *v, &options.threads))
-        return 2;
-    } else if (a == "--solver-threads") {
-      if (!(v = value("--solver-threads")) ||
-          !ParseIntFlag(a, *v, &options.solver_threads))
-        return 2;
-    } else if (a == "--check-oracle") {
-      options.check_oracle = true;
-    } else if (a == "--oracle-cutoff") {
-      if (!(v = value("--oracle-cutoff")) ||
-          !ParseIntFlag(a, *v, &options.oracle_cutoff))
-        return 2;
-    } else if (a == "--no-memoize") {
-      options.memoize = false;
-    } else if (a == "--witness-limit") {
-      uint64_t limit = 0;
-      if (!(v = value("--witness-limit")) || !ParseSeedFlag(a, *v, &limit))
-        return 2;
-      options.witness_limit = static_cast<size_t>(limit);
-    } else if (a == "--exact-node-budget") {
-      if (!(v = value("--exact-node-budget")) ||
-          !ParseSeedFlag(a, *v, &options.exact_node_budget))
-        return 2;
-    } else if (a == "--csv") {
-      if (!(v = value("--csv"))) return 2;
-      csv_path = *v;
-    } else if (a == "--json") {
-      if (!(v = value("--json"))) return 2;
-      json_path = *v;
-    } else if (a == "--metrics-json") {
-      if (!(v = value("--metrics-json"))) return 2;
-      sinks.metrics_path = *v;
-    } else if (a == "--trace-out") {
-      if (!(v = value("--trace-out"))) return 2;
-      sinks.trace_path = *v;
-    } else {
-      std::fprintf(stderr, "error: unknown batch flag '%s'\n", a.c_str());
-      return 2;
-    }
+    ApplyFlags("batch", flags, args);
   }
   if (max_size > 0) {
     if (sizes_set) {
@@ -791,82 +771,37 @@ int CmdBatch(const std::vector<std::string>& args) {
 }
 
 int CmdStream(const std::vector<std::string>& args) {
+  std::string catalog_name;
   std::vector<std::string> positional;
   std::string updates_path, churn_kind, emit_path, csv_path, json_path;
   ChurnParams churn;
   StreamOptions options;
   ObsSinks sinks;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    if (a == "--updates") {
-      if (!(v = value("--updates"))) return 2;
-      updates_path = *v;
-    } else if (a == "--churn") {
-      if (!(v = value("--churn"))) return 2;
-      churn_kind = *v;
-    } else if (a == "--epochs") {
-      if (!(v = value("--epochs")) || !ParseIntFlag(a, *v, &churn.epochs))
-        return 2;
-    } else if (a == "--rate") {
-      if (!(v = value("--rate"))) return 2;
-      if (!ParseProbability(*v, &churn.rate)) {
-        std::fprintf(stderr,
-                     "error: --rate needs a number in [0,1], got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-    } else if (a == "--seed") {
-      if (!(v = value("--seed")) || !ParseSeedFlag(a, *v, &churn.seed))
-        return 2;
-    } else if (a == "--emit-updates") {
-      if (!(v = value("--emit-updates"))) return 2;
-      emit_path = *v;
-    } else if (a == "--check-oracle") {
-      options.check_oracle = true;
-    } else if (a == "--solver-threads") {
-      if (!(v = value("--solver-threads")) ||
-          !ParseIntFlag(a, *v, &options.solver_threads))
-        return 2;
-    } else if (a == "--witness-limit") {
-      uint64_t limit = 0;
-      if (!(v = value("--witness-limit")) || !ParseSeedFlag(a, *v, &limit))
-        return 2;
-      options.witness_limit = static_cast<size_t>(limit);
-    } else if (a == "--exact-node-budget") {
-      if (!(v = value("--exact-node-budget")) ||
-          !ParseSeedFlag(a, *v, &options.exact_node_budget))
-        return 2;
-    } else if (a == "--csv") {
-      if (!(v = value("--csv"))) return 2;
-      csv_path = *v;
-    } else if (a == "--json") {
-      if (!(v = value("--json"))) return 2;
-      json_path = *v;
-    } else if (a == "--metrics-json") {
-      if (!(v = value("--metrics-json"))) return 2;
-      sinks.metrics_path = *v;
-    } else if (a == "--trace-out") {
-      if (!(v = value("--trace-out"))) return 2;
-      sinks.trace_path = *v;
-    } else {
-      positional.push_back(a);
-    }
-  }
-  size_t consumed = 0;
-  std::optional<Query> q = ResolveQuery(positional, &consumed);
+  const std::vector<Flag> flags = {
+      StringFlag("--name", &catalog_name),
+      StringFlag("--updates", &updates_path),
+      StringFlag("--churn", &churn_kind),
+      PositiveIntFlag("--epochs", &churn.epochs),
+      ProbabilityFlag("--rate", &churn.rate),
+      UintFlag("--seed", &churn.seed),
+      StringFlag("--emit-updates", &emit_path),
+      SwitchFlag("--check-oracle", &options.check_oracle),
+      PositiveIntFlag("--solver-threads", &options.solver_threads),
+      UintFlag("--witness-limit", &options.witness_limit),
+      UintFlag("--exact-node-budget", &options.exact_node_budget),
+      StringFlag("--csv", &csv_path),
+      StringFlag("--json", &json_path),
+      StringFlag("--metrics-json", &sinks.metrics_path),
+      StringFlag("--trace-out", &sinks.trace_path),
+  };
+  if (!ApplyFlags("stream", flags, args, &positional)) return 2;
+  std::optional<Query> q = ResolveQuery(catalog_name, &positional);
   if (!q) return 2;
-  if (positional.size() != consumed + 1) {
+  if (positional.size() != 1) {
     std::fprintf(stderr, "error: expected exactly one tuple file argument\n");
     return 2;
   }
+  const std::string& base_path = positional[0];
   if (updates_path.empty() == churn_kind.empty()) {
     std::fprintf(stderr,
                  "error: stream needs exactly one of --updates <file> or "
@@ -884,7 +819,7 @@ int CmdStream(const std::vector<std::string>& args) {
   }
 
   Database db;
-  if (!LoadTuples(positional[consumed], &db)) return 2;
+  if (!LoadTuples(base_path, &db)) return 2;
 
   UpdateLog log;
   std::string error;
@@ -903,7 +838,7 @@ int CmdStream(const std::vector<std::string>& args) {
         "--seed %llu\nbase: %s (%d tuples)\n%zu update(s) in %zu epoch(s)",
         churn_kind.c_str(), churn.epochs, churn.rate,
         static_cast<unsigned long long>(churn.seed),
-        positional[consumed].c_str(), db.NumActiveTuples(), log.size(),
+        base_path.c_str(), db.NumActiveTuples(), log.size(),
         log.epochs.size());
     if (churn_kind.empty()) header = "replayed from: " + updates_path;
     if (!SaveUpdateFile(log, emit_path, header, &error)) {
@@ -912,7 +847,7 @@ int CmdStream(const std::vector<std::string>& args) {
     }
   }
 
-  std::string query_name = positional[0] == "--name" ? positional[1] : "query";
+  std::string query_name = catalog_name.empty() ? "query" : catalog_name;
   sinks.Arm();
   StreamReport report = RunStream(*q, query_name, db, log, options);
   PrintStreamTable(report, stdout);
@@ -943,92 +878,36 @@ extern "C" void HandleStopSignal(int) {
 int CmdServe(const std::vector<std::string>& args) {
   ServerOptions options;
   options.threads = 4;
-  std::string metrics_path;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    uint64_t u = 0;
-    if (a == "--host") {
-      if (!(v = value("--host"))) return 2;
-      options.host = *v;
-    } else if (a == "--port") {
-      if (!(v = value("--port")) || !ParseSeedFlag(a, *v, &u)) return 2;
-      if (u > 65535) {
-        std::fprintf(stderr, "error: --port needs 0..65535, got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-      options.port = static_cast<int>(u);
-    } else if (a == "--threads") {
-      if (!(v = value("--threads")) || !ParseIntFlag(a, *v, &options.threads))
-        return 2;
-    } else if (a == "--solver-threads") {
-      if (!(v = value("--solver-threads")) ||
-          !ParseIntFlag(a, *v, &options.limits.solver_threads))
-        return 2;
-    } else if (a == "--max-sessions") {
-      if (!(v = value("--max-sessions")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.max_sessions = static_cast<size_t>(u);
-    } else if (a == "--max-base-tuples") {
-      if (!(v = value("--max-base-tuples")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.max_base_tuples = static_cast<size_t>(u);
-    } else if (a == "--max-epoch-updates") {
-      if (!(v = value("--max-epoch-updates")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.max_epoch_updates = static_cast<size_t>(u);
-    } else if (a == "--default-witness-limit") {
-      if (!(v = value("--default-witness-limit")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.default_witness_limit = static_cast<size_t>(u);
-    } else if (a == "--max-witness-limit") {
-      if (!(v = value("--max-witness-limit")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.max_witness_limit = static_cast<size_t>(u);
-    } else if (a == "--default-node-budget") {
-      if (!(v = value("--default-node-budget")) ||
-          !ParseSeedFlag(a, *v, &options.limits.default_node_budget))
-        return 2;
-    } else if (a == "--max-node-budget") {
-      if (!(v = value("--max-node-budget")) ||
-          !ParseSeedFlag(a, *v, &options.limits.max_node_budget))
-        return 2;
-    } else if (a == "--max-resident-mb") {
-      if (!(v = value("--max-resident-mb")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.max_resident_bytes = u * 1024 * 1024;
-    } else if (a == "--evict-idle-ms") {
-      if (!(v = value("--evict-idle-ms")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.evict_idle_ms = static_cast<int64_t>(u);
-    } else if (a == "--no-load") {
-      options.limits.allow_load = false;
-    } else if (a == "--no-shutdown") {
-      options.limits.allow_shutdown = false;
-    } else if (a == "--metrics-json") {
-      if (!(v = value("--metrics-json"))) return 2;
-      metrics_path = *v;
-    } else {
-      std::fprintf(stderr, "error: unknown serve flag '%s'\n", a.c_str());
-      return 2;
-    }
-  }
+  ServerLimits& limits = options.limits;
+  ObsSinks sinks;
+  const std::vector<Flag> flags = {
+      StringFlag("--host", &options.host),
+      PortFlag("--port", &options.port, 0),
+      PositiveIntFlag("--threads", &options.threads),
+      PositiveIntFlag("--solver-threads", &limits.solver_threads),
+      UintFlag("--max-sessions", &limits.max_sessions),
+      UintFlag("--max-base-tuples", &limits.max_base_tuples),
+      UintFlag("--max-epoch-updates", &limits.max_epoch_updates),
+      UintFlag("--default-witness-limit", &limits.default_witness_limit),
+      UintFlag("--max-witness-limit", &limits.max_witness_limit),
+      UintFlag("--default-node-budget", &limits.default_node_budget),
+      UintFlag("--max-node-budget", &limits.max_node_budget),
+      // Mebibytes, stored as bytes: the bound keeps the product in range.
+      UintFlag("--max-resident-mb", &limits.max_resident_bytes, 0,
+               UINT64_MAX >> 20, uint64_t{1} << 20),
+      UintFlag("--evict-idle-ms", &limits.evict_idle_ms),
+      SwitchFlag("--no-load", &limits.allow_load, false),
+      SwitchFlag("--no-shutdown", &limits.allow_shutdown, false),
+      StringFlag("--metrics-json", &sinks.metrics_path),
+  };
+  if (!ApplyFlags("serve", flags, args)) return 2;
   // server.* counters and latency histograms are the daemon's whole
   // observability story, so serving always collects them.
   obs::SetMetricsEnabled(true);
 
   EngineOptions engine_options;
-  engine_options.witness_limit =
-      static_cast<size_t>(options.limits.max_witness_limit);
-  engine_options.exact_node_budget = options.limits.max_node_budget;
+  engine_options.witness_limit = limits.max_witness_limit;
+  engine_options.exact_node_budget = limits.max_node_budget;
   ResilienceEngine engine(engine_options);
   ResilienceServer server(options, &engine);
   std::string error;
@@ -1048,95 +927,37 @@ int CmdServe(const std::vector<std::string>& args) {
   std::signal(SIGTERM, SIG_DFL);
   g_server = nullptr;
   std::printf("server stopped\n");
-  if (!metrics_path.empty() &&
-      !obs::WriteMetricsJson(obs::GlobalRegistry(), metrics_path)) {
-    std::fprintf(stderr, "error: cannot write metrics file '%s'\n",
-                 metrics_path.c_str());
-    return 2;
-  }
-  return 0;
+  return sinks.Flush();
 }
 
 int CmdRoute(const std::vector<std::string>& args) {
   RouterOptions options;
   size_t spawn_shards = 0;
   int spawn_solver_threads = 1;
-  std::string metrics_path;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    uint64_t u = 0;
-    if (a == "--host") {
-      if (!(v = value("--host"))) return 2;
-      options.host = *v;
-    } else if (a == "--port") {
-      if (!(v = value("--port")) || !ParseSeedFlag(a, *v, &u)) return 2;
-      if (u > 65535) {
-        std::fprintf(stderr, "error: --port needs 0..65535, got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-      options.port = static_cast<int>(u);
-    } else if (a == "--threads") {
-      if (!(v = value("--threads")) || !ParseIntFlag(a, *v, &options.threads))
-        return 2;
-    } else if (a == "--shard") {
-      if (!(v = value("--shard"))) return 2;
-      ShardSpec spec;
-      std::string error;
-      if (!ParseShardSpec(*v, &spec, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 2;
-      }
-      options.shards.push_back(spec);
-    } else if (a == "--shards") {
-      if (!(v = value("--shards")) || !ParseSeedFlag(a, *v, &u)) return 2;
-      if (u == 0 || u > 64) {
-        std::fprintf(stderr, "error: --shards needs 1..64, got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-      spawn_shards = static_cast<size_t>(u);
-    } else if (a == "--solver-threads") {
-      if (!(v = value("--solver-threads")) ||
-          !ParseIntFlag(a, *v, &spawn_solver_threads))
-        return 2;
-    } else if (a == "--connect-timeout-ms") {
-      if (!(v = value("--connect-timeout-ms")) ||
-          !ParseIntFlag(a, *v, &options.connect_timeout_ms))
-        return 2;
-    } else if (a == "--request-timeout-ms") {
-      if (!(v = value("--request-timeout-ms")) ||
-          !ParseIntFlag(a, *v, &options.request_timeout_ms))
-        return 2;
-    } else if (a == "--retries") {
-      if (!(v = value("--retries")) || !ParseIntFlag(a, *v, &options.retries))
-        return 2;
-    } else if (a == "--backoff-ms") {
-      if (!(v = value("--backoff-ms")) ||
-          !ParseIntFlag(a, *v, &options.backoff_ms))
-        return 2;
-    } else if (a == "--down-cooldown-ms") {
-      if (!(v = value("--down-cooldown-ms")) ||
-          !ParseIntFlag(a, *v, &options.down_cooldown_ms))
-        return 2;
-    } else if (a == "--no-shutdown") {
-      options.allow_shutdown = false;
-    } else if (a == "--metrics-json") {
-      if (!(v = value("--metrics-json"))) return 2;
-      metrics_path = *v;
-    } else {
-      std::fprintf(stderr, "error: unknown route flag '%s'\n", a.c_str());
-      return 2;
-    }
-  }
+  ObsSinks sinks;
+  const std::vector<Flag> flags = {
+      StringFlag("--host", &options.host),
+      PortFlag("--port", &options.port, 0),
+      PositiveIntFlag("--threads", &options.threads),
+      {"--shard", "host:port with port 1..65535",
+       [&](const std::string& v) {
+         ShardSpec spec;
+         std::string error;
+         if (!ParseShardSpec(v, &spec, &error)) return false;
+         options.shards.push_back(spec);
+         return true;
+       }},
+      UintFlag("--shards", &spawn_shards, 1, 64),
+      PositiveIntFlag("--solver-threads", &spawn_solver_threads),
+      PositiveIntFlag("--connect-timeout-ms", &options.connect_timeout_ms),
+      PositiveIntFlag("--request-timeout-ms", &options.request_timeout_ms),
+      PositiveIntFlag("--retries", &options.retries),
+      PositiveIntFlag("--backoff-ms", &options.backoff_ms),
+      PositiveIntFlag("--down-cooldown-ms", &options.down_cooldown_ms),
+      SwitchFlag("--no-shutdown", &options.allow_shutdown, false),
+      StringFlag("--metrics-json", &sinks.metrics_path),
+  };
+  if (!ApplyFlags("route", flags, args)) return 2;
   if (spawn_shards > 0 && !options.shards.empty()) {
     std::fprintf(stderr, "error: --shards and --shard are exclusive\n");
     return 2;
@@ -1185,96 +1006,34 @@ int CmdRoute(const std::vector<std::string>& args) {
   g_router = nullptr;
   spawned.Stop();
   std::printf("router stopped\n");
-  if (!metrics_path.empty() &&
-      !obs::WriteMetricsJson(obs::GlobalRegistry(), metrics_path)) {
-    std::fprintf(stderr, "error: cannot write metrics file '%s'\n",
-                 metrics_path.c_str());
-    return 2;
-  }
-  return 0;
+  return sinks.Flush();
 }
 
 int CmdLoadgen(const std::vector<std::string>& args) {
   LoadgenOptions options;
   std::string csv_path, json_path;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    if (a == "--host") {
-      if (!(v = value("--host"))) return 2;
-      options.host = *v;
-    } else if (a == "--port") {
-      if (!(v = value("--port")) || !ParseIntFlag(a, *v, &options.port))
-        return 2;
-    } else if (a == "--connections") {
-      if (!(v = value("--connections")) ||
-          !ParseIntFlag(a, *v, &options.connections))
-        return 2;
-    } else if (a == "--scenario") {
-      if (!(v = value("--scenario"))) return 2;
-      options.scenario = *v;
-    } else if (a == "--query") {
-      if (!(v = value("--query"))) return 2;
-      options.query = *v;
-    } else if (a == "--size") {
-      if (!(v = value("--size")) || !ParseIntFlag(a, *v, &options.size))
-        return 2;
-    } else if (a == "--density") {
-      if (!(v = value("--density")) ||
-          !ParseDensityFlag(*v, &options.density))
-        return 2;
-    } else if (a == "--churn") {
-      if (!(v = value("--churn"))) return 2;
-      options.churn = *v;
-    } else if (a == "--epochs") {
-      if (!(v = value("--epochs")) || !ParseIntFlag(a, *v, &options.epochs))
-        return 2;
-    } else if (a == "--rate") {
-      if (!(v = value("--rate"))) return 2;
-      if (!ParseProbability(*v, &options.rate)) {
-        std::fprintf(stderr,
-                     "error: --rate needs a number in [0,1], got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-    } else if (a == "--seed") {
-      if (!(v = value("--seed")) || !ParseSeedFlag(a, *v, &options.seed))
-        return 2;
-    } else if (a == "--check-oracle") {
-      options.check_oracle = true;
-    } else if (a == "--witness-limit") {
-      if (!(v = value("--witness-limit")) ||
-          !ParseSeedFlag(a, *v, &options.witness_limit))
-        return 2;
-    } else if (a == "--node-budget") {
-      if (!(v = value("--node-budget")) ||
-          !ParseSeedFlag(a, *v, &options.node_budget))
-        return 2;
-    } else if (a == "--session-prefix") {
-      if (!(v = value("--session-prefix"))) return 2;
-      options.session_prefix = *v;
-    } else if (a == "--timeout-ms") {
-      if (!(v = value("--timeout-ms")) ||
-          !ParseIntFlag(a, *v, &options.timeout_ms))
-        return 2;
-    } else if (a == "--csv") {
-      if (!(v = value("--csv"))) return 2;
-      csv_path = *v;
-    } else if (a == "--json") {
-      if (!(v = value("--json"))) return 2;
-      json_path = *v;
-    } else {
-      std::fprintf(stderr, "error: unknown loadgen flag '%s'\n", a.c_str());
-      return 2;
-    }
-  }
+  const std::vector<Flag> flags = {
+      StringFlag("--host", &options.host),
+      // loadgen dials the port, so 0 (ephemeral) is no address here.
+      PortFlag("--port", &options.port, 1),
+      PositiveIntFlag("--connections", &options.connections),
+      StringFlag("--scenario", &options.scenario),
+      StringFlag("--query", &options.query),
+      PositiveIntFlag("--size", &options.size),
+      ProbabilityFlag("--density", &options.density),
+      StringFlag("--churn", &options.churn),
+      PositiveIntFlag("--epochs", &options.epochs),
+      ProbabilityFlag("--rate", &options.rate),
+      UintFlag("--seed", &options.seed),
+      SwitchFlag("--check-oracle", &options.check_oracle),
+      UintFlag("--witness-limit", &options.witness_limit),
+      UintFlag("--node-budget", &options.node_budget),
+      StringFlag("--session-prefix", &options.session_prefix),
+      PositiveIntFlag("--timeout-ms", &options.timeout_ms),
+      StringFlag("--csv", &csv_path),
+      StringFlag("--json", &json_path),
+  };
+  if (!ApplyFlags("loadgen", flags, args)) return 2;
   if (options.port <= 0) {
     std::fprintf(stderr,
                  "error: loadgen needs --port (the port `rescq serve` "
