@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "db/value.h"
-#include "util/fnv.h"
 
 namespace rescq {
 
@@ -69,25 +68,14 @@ class Database {
   std::string TupleToString(TupleId id) const;
 
  private:
-  // FNV-1a over the value ids (the shared util/fnv implementation) —
-  // the exact-match row index is on the update hot path (every
-  // insert/delete resolves through it), so rows hash directly instead
-  // of being serialized into string keys.
-  struct RowHash {
-    size_t operator()(const std::vector<Value>& values) const {
-      Fnv1a h;
-      for (Value v : values) h.MixU32(static_cast<uint32_t>(v));
-      return static_cast<size_t>(h.digest());
-    }
-  };
-
   struct RelationData {
     std::string name;
     int arity = 0;
     std::vector<std::vector<Value>> rows;
     std::vector<bool> active;
-    // Exact-match index for FindTuple / duplicate suppression.
-    std::unordered_map<std::vector<Value>, int, RowHash> row_index;
+    // Exact-match index for FindTuple / duplicate suppression; on the
+    // update hot path (every insert/delete resolves through it).
+    std::unordered_map<std::vector<Value>, int, ValuesHash> row_index;
   };
 
   std::vector<std::string> value_names_;

@@ -3,6 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
+
+#include "util/fnv.h"
 
 namespace rescq {
 
@@ -30,6 +33,18 @@ struct TupleIdHash {
     return std::hash<uint64_t>()(
         (static_cast<uint64_t>(static_cast<uint32_t>(t.relation)) << 32) |
         static_cast<uint32_t>(t.row));
+  }
+};
+
+/// FNV-1a over a value sequence (the shared util/fnv implementation).
+/// Keys hashed on hot paths — the database's exact-match row index, the
+/// flow constructions' interface nodes — hash their values directly
+/// instead of being serialized into string keys.
+struct ValuesHash {
+  size_t operator()(const std::vector<Value>& values) const {
+    Fnv1a h;
+    for (Value v : values) h.MixU32(static_cast<uint32_t>(v));
+    return static_cast<size_t>(h.digest());
   }
 };
 

@@ -168,10 +168,9 @@ class WitnessIndex {
 /// The distinct endogenous tuple-sets of all witnesses (deduplicated;
 /// each set sorted). Resilience is the minimum hitting set of this
 /// family; a witness with an empty set makes q unbreakable. Unbounded
-/// and never short-circuits — legacy surface for the PTIME solvers that
-/// need the complete family (and the differential reference the fuzz
-/// sweeps check the arena-backed family against); budgeted callers use
-/// CollectWitnessFamily.
+/// and never short-circuits — the differential reference the fuzz
+/// sweeps check the arena-backed family against, kept for tests and
+/// benches; solvers use CollectWitnessFamily.
 std::vector<std::vector<TupleId>> WitnessTupleSets(const Query& q,
                                                    const Database& db);
 

@@ -1,7 +1,6 @@
 #include "resilience/conf3_solver.h"
 
 #include <algorithm>
-#include <set>
 
 #include "db/witness.h"
 #include "resilience/linear_flow_solver.h"
@@ -14,27 +13,27 @@ std::optional<ResilienceResult> SolveForcedThenFlow(const Query& q,
   ResilienceResult result;
   result.solver = SolverKind::kConf3Forced;
 
-  std::vector<std::vector<TupleId>> sets = WitnessTupleSets(q, db);
-  if (sets.empty()) return result;
-  std::set<TupleId> forced;
-  for (const std::vector<TupleId>& s : sets) {
-    if (s.empty()) {
-      result.unbreakable = true;
-      return result;
-    }
-    if (s.size() == 1) forced.insert(s.front());
+  WitnessFamily family = CollectWitnessFamily(q, db, kNoWitnessLimit);
+  if (family.unbreakable) {
+    result.unbreakable = true;
+    return result;
+  }
+  if (family.sets.empty()) return result;
+  // Singleton sets, in the family's lexicographic order: sorted, and
+  // distinct because the family is deduplicated.
+  std::vector<TupleId> forced;
+  for (size_t i = 0; i < family.size(); ++i) {
+    if (family.sets[i].len == 1) forced.push_back(*family.begin(i));
   }
 
-  // Delete the forced tuples, flow on the rest, then restore.
-  Database& mutable_db = const_cast<Database&>(db);
-  for (TupleId t : forced) mutable_db.SetActive(t, false);
-  std::optional<ResilienceResult> flow = SolveLinearFlow(q, mutable_db);
-  for (TupleId t : forced) mutable_db.SetActive(t, true);
+  // Flow on the witnesses the forced tuples do not already hit.
+  std::optional<ResilienceResult> flow =
+      SolveLinearFlow(q, db, nullptr, forced);
   if (!flow.has_value()) return std::nullopt;
   RESCQ_CHECK(!flow->unbreakable);
 
   result.resilience = static_cast<int>(forced.size()) + flow->resilience;
-  result.contingency.assign(forced.begin(), forced.end());
+  result.contingency = std::move(forced);
   result.contingency.insert(result.contingency.end(),
                             flow->contingency.begin(),
                             flow->contingency.end());

@@ -13,7 +13,9 @@ namespace rescq {
 /// themselves (singleton witness tuple-sets) are forced into every
 /// contingency set. After deleting them, the remaining problem is solved
 /// by the linear-query network flow; the proof's exchange argument shows
-/// the flow's min cut is optimal on the residual database.
+/// the flow's min cut is optimal on the residual database. The deletion
+/// is never applied to db: the forced tuples reach SolveLinearFlow as its
+/// `deleted` set, so concurrent solves over one database are safe.
 ///
 /// The solver is generic "forced tuples + linear flow"; the dispatcher
 /// applies it to queries isomorphic to q^TS_3conf. Returns nullopt if q

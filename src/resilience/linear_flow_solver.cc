@@ -1,7 +1,7 @@
 #include "resilience/linear_flow_solver.h"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
 
 #include "complexity/linearity.h"
 #include "db/witness.h"
@@ -12,64 +12,92 @@ namespace rescq {
 
 std::optional<ResilienceResult> SolveLinearFlow(
     const Query& q, const Database& db,
-    const TupleOverride& force_undeletable) {
+    const TupleOverride& force_undeletable,
+    const std::vector<TupleId>& deleted) {
   std::optional<std::vector<int>> order_opt = FindLinearOrder(q);
   if (!order_opt.has_value()) return std::nullopt;
   const std::vector<int>& order = *order_opt;
   const int m = q.num_atoms();
   std::vector<std::vector<VarId>> interfaces = LinearInterfaces(q, order);
 
-  std::vector<Witness> witnesses = EnumerateWitnesses(q, db, kNoWitnessLimit);
   ResilienceResult result;
   result.solver = SolverKind::kLinearFlow;
-  if (witnesses.empty()) return result;
+  // Edges: per position, row of the position's relation -> edge index
+  // (-1 = no edge yet). One edge per (position, tuple), shared across
+  // witnesses.
+  std::vector<std::vector<int>> edge_of(static_cast<size_t>(m));
+  for (int pos = 0; pos < m; ++pos) {
+    int rel = db.RelationId(q.atom(order[static_cast<size_t>(pos)]).relation);
+    if (rel < 0) return result;  // a missing relation means no witnesses
+    edge_of[static_cast<size_t>(pos)].assign(
+        static_cast<size_t>(db.NumRows(rel)), -1);
+  }
+  // Deleted tuples: per relation, a row bitmap (empty = none deleted).
+  // A witness using one is already hit, exactly as if the tuple were
+  // inactive.
+  std::vector<std::vector<bool>> is_deleted(
+      static_cast<size_t>(db.num_relations()));
+  for (TupleId d : deleted) {
+    std::vector<bool>& rows = is_deleted[static_cast<size_t>(d.relation)];
+    rows.resize(static_cast<size_t>(db.NumRows(d.relation)));
+    rows[static_cast<size_t>(d.row)] = true;
+  }
+  auto already_hit = [&](const Witness& w) {
+    for (TupleId u : w.atom_tuples) {
+      const std::vector<bool>& rows =
+          is_deleted[static_cast<size_t>(u.relation)];
+      if (!rows.empty() && rows[static_cast<size_t>(u.row)]) return true;
+    }
+    return false;
+  };
 
   MaxFlow flow(2);  // s = 0, t = 1
   const int s = 0;
   const int t = 1;
-  // Interface nodes: (boundary index, interface values) -> node.
-  std::map<std::pair<int, std::vector<Value>>, int> nodes;
-  auto boundary_node = [&](int boundary, const std::vector<Value>& key) {
+  // Interface nodes: per boundary, interface values -> node. The key is
+  // built only when a new edge needs the node.
+  std::vector<std::unordered_map<std::vector<Value>, int, ValuesHash>> nodes(
+      static_cast<size_t>(m + 1));
+  std::vector<Value> key;
+  auto boundary_node = [&](int boundary, const Witness& w) {
     if (boundary == 0) return s;
     if (boundary == m) return t;
-    auto [it, inserted] = nodes.try_emplace({boundary, key}, -1);
-    if (inserted) it->second = flow.AddNode();
-    return it->second;
+    key.clear();
+    for (VarId v : interfaces[static_cast<size_t>(boundary - 1)]) {
+      key.push_back(w.assignment[static_cast<size_t>(v)]);
+    }
+    auto& boundary_nodes = nodes[static_cast<size_t>(boundary)];
+    auto it = boundary_nodes.find(key);
+    if (it != boundary_nodes.end()) return it->second;
+    int node = flow.AddNode();
+    boundary_nodes.emplace(key, node);
+    return node;
   };
-  // Edges: (position, tuple) -> edge index; edge tag indexes edge_tuples.
-  std::map<std::pair<int, TupleId>, int> edges;
+  // Edge tag indexes edge_tuples.
   std::vector<TupleId> edge_tuples;
   std::vector<bool> edge_deletable;
 
-  for (const Witness& w : witnesses) {
+  ForEachWitness(q, db, [&](const Witness& w) {
+    if (!deleted.empty() && already_hit(w)) return true;
     for (int pos = 0; pos < m; ++pos) {
       int atom_idx = order[static_cast<size_t>(pos)];
       TupleId tuple = w.atom_tuples[static_cast<size_t>(atom_idx)];
-      auto key = std::make_pair(pos, tuple);
-      if (edges.count(key)) continue;
-
-      std::vector<Value> left_key, right_key;
-      if (pos > 0) {
-        for (VarId v : interfaces[static_cast<size_t>(pos - 1)]) {
-          left_key.push_back(w.assignment[static_cast<size_t>(v)]);
-        }
-      }
-      if (pos < m - 1) {
-        for (VarId v : interfaces[static_cast<size_t>(pos)]) {
-          right_key.push_back(w.assignment[static_cast<size_t>(v)]);
-        }
-      }
-      int from = boundary_node(pos, left_key);
-      int to = boundary_node(pos + 1, right_key);
+      int& edge =
+          edge_of[static_cast<size_t>(pos)][static_cast<size_t>(tuple.row)];
+      if (edge >= 0) continue;
+      int from = boundary_node(pos, w);
+      int to = boundary_node(pos + 1, w);
       bool deletable = !q.atom(atom_idx).exogenous &&
                        !(force_undeletable && force_undeletable(db, tuple));
       int64_t cap = deletable ? 1 : kInfCapacity;
       int tag = static_cast<int>(edge_tuples.size());
       edge_tuples.push_back(tuple);
       edge_deletable.push_back(deletable);
-      edges[key] = flow.AddEdge(from, to, cap, tag);
+      edge = flow.AddEdge(from, to, cap, tag);
     }
-  }
+    return true;
+  });
+  if (edge_tuples.empty()) return result;  // no witness left to hit
 
   int64_t value = flow.Compute(s, t);
   if (value >= kInfCapacity) {

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "cq/query.h"
 #include "db/database.h"
@@ -34,10 +35,25 @@ using TupleOverride = std::function<bool(const Database&, TupleId)>;
 /// paper's point in Section 7.3 — so callers must not use this solver on
 /// permutation self-joins.
 ///
+/// The network is built while witnesses stream out of ForEachWitness
+/// (db/witness.h); no witness list is materialized. Nodes and edges are
+/// created in first-appearance order over the deterministic enumeration,
+/// so the Dinic cut, and with it the contingency returned, depends only
+/// on (q, db). The database is only read, so concurrent calls over one
+/// database are safe.
+///
+/// `deleted` lists tuples already in the contingency set (any order; the
+/// result does not include them): every witness using one of them, in
+/// any atom, is already hit and adds nothing to the network. The result
+/// is the one the solver would return on db with those tuples
+/// deactivated — the surviving witnesses stream out in the same order —
+/// without mutating db. Proposition 41's forced tuples arrive this way.
+///
 /// Returns nullopt if q is not linear.
 std::optional<ResilienceResult> SolveLinearFlow(
     const Query& q, const Database& db,
-    const TupleOverride& force_undeletable = nullptr);
+    const TupleOverride& force_undeletable = nullptr,
+    const std::vector<TupleId>& deleted = {});
 
 }  // namespace rescq
 

@@ -1,7 +1,7 @@
 #include "resilience/perm_solver.h"
 
 #include <algorithm>
-#include <map>
+#include <string>
 
 #include "complexity/patterns.h"
 #include "db/witness.h"
@@ -54,16 +54,44 @@ std::optional<PermShape> MatchPermShape(const Query& q) {
   return shape;
 }
 
-// The pair tuples of a witness under a shape: the (deduplicated) tuples
-// matched by the two permutation atoms.
-std::vector<TupleId> PairOf(const Witness& w, const PermShape& shape) {
-  std::vector<TupleId> pair = {
-      w.atom_tuples[static_cast<size_t>(shape.a1)],
-      w.atom_tuples[static_cast<size_t>(shape.a2)]};
-  std::sort(pair.begin(), pair.end());
-  pair.erase(std::unique(pair.begin(), pair.end()), pair.end());
-  return pair;
+// The pair of a witness under a shape is the (deduplicated) tuples
+// matched by the two permutation atoms R(x,y), R(y,x): either tuple
+// determines the other (its reverse), so the pair is identified by its
+// smaller tuple, a row of R.
+TupleId PairFront(const Witness& w, const PermShape& shape) {
+  return std::min(w.atom_tuples[static_cast<size_t>(shape.a1)],
+                  w.atom_tuples[static_cast<size_t>(shape.a2)]);
 }
+
+// Dense ids over the tuples of one relation, assigned in
+// first-appearance order: the streamed builders' map from a tuple (an L
+// tuple, or a pair by its front) to its vertex.
+class TupleIds {
+ public:
+  TupleIds(const Database& db, const std::string& relation) {
+    int rel = db.RelationId(relation);
+    if (rel >= 0) ids_.assign(static_cast<size_t>(db.NumRows(rel)), -1);
+  }
+
+  /// The tuple's id; a new tuple gets the next id (and sets *inserted).
+  int Intern(TupleId t, bool* inserted = nullptr) {
+    int& id = ids_[static_cast<size_t>(t.row)];
+    bool fresh = id < 0;
+    if (fresh) {
+      id = static_cast<int>(tuples_.size());
+      tuples_.push_back(t);
+    }
+    if (inserted != nullptr) *inserted = fresh;
+    return id;
+  }
+
+  /// Tuples by id.
+  const std::vector<TupleId>& tuples() const { return tuples_; }
+
+ private:
+  std::vector<int> ids_;  // per row of the relation, -1 = not seen yet
+  std::vector<TupleId> tuples_;
+};
 
 }  // namespace
 
@@ -73,13 +101,14 @@ std::optional<ResilienceResult> SolvePermutationCount(const Query& q,
   if (!shape.has_value() || shape->l_atom != -1) return std::nullopt;
   ResilienceResult result;
   result.solver = SolverKind::kPermCount;
-  std::vector<std::vector<TupleId>> sets = WitnessTupleSets(q, db);
+  WitnessFamily family = CollectWitnessFamily(q, db, kNoWitnessLimit);
+  // Both pair atoms are endogenous: no witness has an empty set.
+  RESCQ_CHECK(!family.unbreakable);
   // Each tuple participates in exactly one witness tuple-set: the sets are
   // pairwise disjoint, so the minimum hitting set takes one per set.
-  result.resilience = static_cast<int>(sets.size());
-  for (const std::vector<TupleId>& s : sets) {
-    RESCQ_CHECK(!s.empty());
-    result.contingency.push_back(s.front());
+  result.resilience = static_cast<int>(family.size());
+  for (size_t i = 0; i < family.size(); ++i) {
+    result.contingency.push_back(*family.begin(i));
   }
   std::sort(result.contingency.begin(), result.contingency.end());
   return result;
@@ -89,42 +118,39 @@ std::optional<ResilienceResult> SolvePermutationBipartite(
     const Query& q, const Database& db) {
   std::optional<PermShape> shape = MatchPermShape(q);
   if (!shape.has_value() || shape->l_atom == -1) return std::nullopt;
-  std::vector<Witness> witnesses = EnumerateWitnesses(q, db, kNoWitnessLimit);
   ResilienceResult result;
   result.solver = SolverKind::kPermBipartite;
-  if (witnesses.empty()) return result;
 
   // Left: L-tuples; right: pair tuple-sets. One bipartite edge per
   // witness. Deleting the L-tuple or either tuple of the pair kills the
   // witness, so a vertex cover = a contingency set.
-  std::map<TupleId, int> left_ids;
-  std::vector<TupleId> lefts;
-  std::map<std::vector<TupleId>, int> right_ids;
-  std::vector<std::vector<TupleId>> rights;
+  TupleIds lefts(db, q.atom(shape->l_atom).relation);
+  TupleIds rights(db, q.atom(shape->a1).relation);  // pairs by front
   std::vector<std::pair<int, int>> bip_edges;
-  for (const Witness& w : witnesses) {
-    TupleId l = w.atom_tuples[static_cast<size_t>(shape->l_atom)];
-    auto [lit, lnew] = left_ids.emplace(l, static_cast<int>(lefts.size()));
-    if (lnew) lefts.push_back(l);
-    std::vector<TupleId> pair = PairOf(w, *shape);
-    auto [rit, rnew] = right_ids.emplace(pair, static_cast<int>(rights.size()));
-    if (rnew) rights.push_back(pair);
-    bip_edges.emplace_back(lit->second, rit->second);
-  }
-  BipartiteCover cover(static_cast<int>(lefts.size()),
-                       static_cast<int>(rights.size()));
+  ForEachWitness(q, db, [&](const Witness& w) {
+    int left = lefts.Intern(w.atom_tuples[static_cast<size_t>(shape->l_atom)]);
+    int right = rights.Intern(PairFront(w, *shape));
+    bip_edges.emplace_back(left, right);
+    return true;
+  });
+  if (bip_edges.empty()) return result;
+
+  BipartiteCover cover(static_cast<int>(lefts.tuples().size()),
+                       static_cast<int>(rights.tuples().size()));
   std::sort(bip_edges.begin(), bip_edges.end());
   bip_edges.erase(std::unique(bip_edges.begin(), bip_edges.end()),
                   bip_edges.end());
   for (auto [l, r] : bip_edges) cover.AddEdge(l, r);
   cover.Compute();
   result.resilience = cover.CoverSize();
-  for (size_t i = 0; i < lefts.size(); ++i) {
-    if (cover.left_in_cover()[i]) result.contingency.push_back(lefts[i]);
+  for (size_t i = 0; i < lefts.tuples().size(); ++i) {
+    if (cover.left_in_cover()[i]) {
+      result.contingency.push_back(lefts.tuples()[i]);
+    }
   }
-  for (size_t i = 0; i < rights.size(); ++i) {
+  for (size_t i = 0; i < rights.tuples().size(); ++i) {
     if (cover.right_in_cover()[i]) {
-      result.contingency.push_back(rights[i].front());
+      result.contingency.push_back(rights.tuples()[i]);
     }
   }
   std::sort(result.contingency.begin(), result.contingency.end());
@@ -135,50 +161,47 @@ std::optional<ResilienceResult> SolveUnboundPermutationFlow(
     const Query& q, const Database& db) {
   std::optional<PermShape> shape = MatchPermShape(q);
   if (!shape.has_value() || shape->l_atom == -1) return std::nullopt;
-  std::vector<Witness> witnesses = EnumerateWitnesses(q, db, kNoWitnessLimit);
   ResilienceResult result;
   result.solver = SolverKind::kUnboundPermFlow;
-  if (witnesses.empty()) return result;
 
   MaxFlow flow(2);
   const int s = 0;
   const int t = 1;
-  std::map<TupleId, std::pair<int, int>> l_nodes;   // L-tuple -> (node, edge)
-  std::map<std::vector<TupleId>, std::pair<int, int>> pair_nodes;
-  std::vector<TupleId> edge_tuple;                  // tag -> L tuple
-  std::vector<std::vector<TupleId>> edge_pair;      // tag -> pair (offset)
+  // Edge tags: an L id, or kPairTagBase + a pair id.
+  TupleIds l_ids(db, q.atom(shape->l_atom).relation);
+  std::vector<int> l_nodes;  // L id -> node
+  TupleIds pair_ids(db, q.atom(shape->a1).relation);  // pairs by front
+  std::vector<int> pair_nodes;  // pair id -> node
   constexpr int64_t kPairTagBase = 1'000'000'000;
 
-  for (const Witness& w : witnesses) {
-    TupleId l = w.atom_tuples[static_cast<size_t>(shape->l_atom)];
-    auto [lit, lnew] = l_nodes.try_emplace(l, std::make_pair(-1, -1));
-    if (lnew) {
-      int node = flow.AddNode();
-      int tag = static_cast<int>(edge_tuple.size());
-      edge_tuple.push_back(l);
-      int e = flow.AddEdge(s, node, 1, tag);
-      lit->second = {node, e};
+  ForEachWitness(q, db, [&](const Witness& w) {
+    bool inserted = false;
+    int l_id = l_ids.Intern(
+        w.atom_tuples[static_cast<size_t>(shape->l_atom)], &inserted);
+    if (inserted) {
+      l_nodes.push_back(flow.AddNode());
+      flow.AddEdge(s, l_nodes.back(), 1, l_id);
     }
-    std::vector<TupleId> pair = PairOf(w, *shape);
-    auto [pit, pnew] = pair_nodes.try_emplace(pair, std::make_pair(-1, -1));
-    if (pnew) {
-      int node = flow.AddNode();
-      int64_t tag = kPairTagBase + static_cast<int64_t>(edge_pair.size());
-      edge_pair.push_back(pair);
-      int e = flow.AddEdge(node, t, 1, tag);
-      pit->second = {node, e};
+    int pair_id = pair_ids.Intern(PairFront(w, *shape), &inserted);
+    if (inserted) {
+      pair_nodes.push_back(flow.AddNode());
+      flow.AddEdge(pair_nodes.back(), t, 1, kPairTagBase + pair_id);
     }
-    flow.AddEdge(lit->second.first, pit->second.first, kInfCapacity);
-  }
+    flow.AddEdge(l_nodes[static_cast<size_t>(l_id)],
+                 pair_nodes[static_cast<size_t>(pair_id)], kInfCapacity);
+    return true;
+  });
+  if (l_nodes.empty()) return result;
+
   int64_t value = flow.Compute(s, t);
   RESCQ_CHECK_LT(value, kInfCapacity);
   for (int e : flow.MinCutEdges()) {
     int64_t tag = flow.edge(e).tag;
     if (tag >= kPairTagBase) {
       result.contingency.push_back(
-          edge_pair[static_cast<size_t>(tag - kPairTagBase)].front());
+          pair_ids.tuples()[static_cast<size_t>(tag - kPairTagBase)]);
     } else {
-      result.contingency.push_back(edge_tuple[static_cast<size_t>(tag)]);
+      result.contingency.push_back(l_ids.tuples()[static_cast<size_t>(tag)]);
     }
   }
   std::sort(result.contingency.begin(), result.contingency.end());

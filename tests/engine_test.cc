@@ -17,6 +17,7 @@
 #include "resilience/engine.h"
 #include "resilience/exact_solver.h"
 #include "resilience/solver.h"
+#include "util/rng.h"
 #include "workload/batch.h"
 #include "workload/generators.h"
 #include "workload/report.h"
@@ -419,6 +420,46 @@ TEST(Engine, ConcurrentSolvesComposeWithSolverWorkers) {
   EngineOptions options;
   options.solver_threads = 2;
   StressConcurrentSolves(options);
+}
+
+// Proposition 41's solver deletes the forced tuples before its flow.
+// It must not do that by deactivating them in the caller's database:
+// Solve takes the database by const reference, and concurrent Solves
+// over one shared database would then see each other's deletions.
+// Every thread must get exactly the serial answer.
+TEST(Engine, ConcurrentForcedThenFlowSolvesShareOneDatabase) {
+  Query q = CatalogQuery("q_TS3conf");
+  Database db;
+  Rng rng(5);
+  std::vector<Value> dom;
+  for (int i = 0; i < 12; ++i) dom.push_back(db.InternIndexed("c", i));
+  for (const std::string& rel : q.RelationNames()) {
+    for (int t = 0; t < 60; ++t) {
+      Value a = dom[rng.Below(dom.size())];
+      Value b = dom[rng.Below(dom.size())];
+      db.AddTuple(rel, {a, b});
+    }
+  }
+  ResilienceEngine engine;
+  SolveOutcome reference = engine.Solve(q, db);
+  ASSERT_TRUE(reference.error.empty());
+  ASSERT_EQ(reference.result.solver, SolverKind::kConf3Forced);
+  ASSERT_GT(reference.result.resilience, 0);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 50; ++i) {
+        SolveOutcome out = engine.Solve(q, db);
+        bool ok = out.error.empty() &&
+                  out.result.resilience == reference.result.resilience &&
+                  out.result.contingency == reference.result.contingency;
+        if (!ok) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(Plan, ExplainNamesPipelineSolverAndCitation) {

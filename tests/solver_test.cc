@@ -9,7 +9,9 @@
 #include "resilience/perm3_solver.h"
 #include "resilience/perm_solver.h"
 #include "resilience/solver.h"
+#include "util/fnv.h"
 #include "util/rng.h"
+#include "workload/scenario.h"
 
 namespace rescq {
 namespace {
@@ -258,6 +260,56 @@ TEST(PermSolvers, SharedRPairBeatsTwoATuples) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->resilience, 1);
   EXPECT_EQ(db.TupleToString(r->contingency[0]).substr(0, 1), "R");
+}
+
+// Folds (unbreakable, resilience, contingency) into an FNV-1a digest.
+void MixResult(const ResilienceResult& r, Fnv1a* h) {
+  h->MixByte(r.unbreakable ? 1 : 0);
+  h->MixU32(static_cast<uint32_t>(r.resilience));
+  h->MixU32(static_cast<uint32_t>(r.contingency.size()));
+  for (TupleId t : r.contingency) {
+    h->MixU32(static_cast<uint32_t>(t.relation));
+    h->MixU32(static_cast<uint32_t>(t.row));
+  }
+}
+
+// Pins both perm builders' exact outputs on fixed-seed perm_bipartite
+// instances, and the counting solver's on fixed-seed perm instances:
+// every (unbreakable, resilience, contingency) folded into one digest.
+// Each network is built in a deterministic node and edge order, so the
+// cover or cut chosen among equally small ones must not move. The
+// constant was recorded from the materialising constructions the
+// streamed ones replaced.
+TEST(PermSolvers, OutputsArePinnedByDigest) {
+  const Scenario* bipartite = FindScenario("perm_bipartite");
+  const Scenario* perm = FindScenario("perm");
+  ASSERT_NE(bipartite, nullptr);
+  ASSERT_NE(perm, nullptr);
+  Query q_aperm = MustParseQuery(bipartite->query);
+  Query q_perm = MustParseQuery(perm->query);
+  Fnv1a h;
+  for (int size : {8, 40, 200}) {
+    for (double density : {0.3, 0.7}) {
+      for (uint64_t seed : {1, 2, 3}) {
+        ScenarioParams params{size, density, seed};
+        Database db = bipartite->generate(params);
+        std::optional<ResilienceResult> cover =
+            SolvePermutationBipartite(q_aperm, db);
+        std::optional<ResilienceResult> flow =
+            SolveUnboundPermutationFlow(q_aperm, db);
+        ASSERT_TRUE(cover.has_value() && flow.has_value());
+        EXPECT_EQ(cover->resilience, flow->resilience)
+            << "size " << size << " seed " << seed;
+        MixResult(*cover, &h);
+        MixResult(*flow, &h);
+        std::optional<ResilienceResult> count =
+            SolvePermutationCount(q_perm, perm->generate(params));
+        ASSERT_TRUE(count.has_value());
+        MixResult(*count, &h);
+      }
+    }
+  }
+  EXPECT_EQ(h.digest(), 0x469d647fcd5565b1ULL);
 }
 
 TEST(Perm3, OneWayTuplesAreDominatedByUnaryL) {
