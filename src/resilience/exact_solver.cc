@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <map>
-#include <set>
 #include <utility>
 
-#include "flow/max_flow.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -76,49 +75,142 @@ struct SearchCtx {
   }
 };
 
-// Below this many residual edges a Dinic run costs more than the nodes
-// it could prune — the greedy bounds and the eager reductions already
-// dispatch such instances in a handful of nodes.
+// Below this many residual edges a matching run costs more than the
+// nodes it could prune — the greedy bounds and the eager reductions
+// already dispatch such instances in a handful of nodes.
 constexpr size_t kFlowBoundMinEdges = 8;
 
 // The flow bound also waits until the component's search has expanded
 // this many nodes: a component that finishes earlier was never going to
-// repay a Dinic run per node, while a search still alive past the
+// repay a matching run per node, while a search still alive past the
 // threshold is exactly where the stronger bound cuts whole subtrees.
 // The gate reads the component-local counter, so whether it fires never
 // depends on sibling components or on the worker schedule.
 constexpr uint64_t kFlowBoundMinNodes = 32;
 
+// Counting-sort CSR of an undirected edge list over vertices [0, n):
+// row v of `adj`, offsets[v]..offsets[v+1], lists v's neighbours in edge
+// order. `fill` is scratch. Reuses the vectors' capacity.
+void BuildCsr(size_t n, const std::vector<std::pair<int, int>>& edges,
+              std::vector<int>* offsets, std::vector<int>* adj,
+              std::vector<int>* fill) {
+  offsets->assign(n + 1, 0);
+  for (const auto& [a, b] : edges) {
+    ++(*offsets)[static_cast<size_t>(a) + 1];
+    ++(*offsets)[static_cast<size_t>(b) + 1];
+  }
+  for (size_t v = 0; v < n; ++v) (*offsets)[v + 1] += (*offsets)[v];
+  adj->resize(static_cast<size_t>((*offsets)[n]));
+  fill->assign(offsets->begin(), offsets->end() - 1);
+  for (const auto& [a, b] : edges) {
+    (*adj)[static_cast<size_t>((*fill)[static_cast<size_t>(a)]++)] = b;
+    (*adj)[static_cast<size_t>((*fill)[static_cast<size_t>(b)]++)] = a;
+  }
+}
+
+// Buffers for FractionalMatchingBound, owned by one component's solver
+// and reused by every call: the caller fills `edges`, the bound builds
+// its CSR and matching state in the rest. Once they have grown to the
+// component's size, a bound evaluation allocates nothing.
+struct MatchingScratch {
+  std::vector<std::pair<int, int>> edges;
+  std::vector<int> offsets;      // CSR row starts, num_vertices + 1
+  std::vector<int> adj;          // both directions of every edge
+  std::vector<int> match_left;   // left copy -> matched right copy, or -1
+  std::vector<int> match_right;  // right copy -> matched left copy, or -1
+  std::vector<int> dist;         // BFS layer of each left copy
+  std::vector<int> next;         // per left copy: next CSR slot to try
+  std::vector<int> queue;        // BFS queue, then the DFS path stack
+};
+
+// One Hopcroft–Karp phase's augmentation from the free left copy `root`
+// along the BFS layering, iteratively: the path stack holds left copies
+// and, for each, the right copy it went through is adj[next[u] - 1].
+// Left copies that lead nowhere get dist INT_MAX so later searches of the
+// phase skip them.
+bool Augment(int root, MatchingScratch* s) {
+  std::vector<int>& path = s->queue;
+  path.clear();
+  path.push_back(root);
+  while (!path.empty()) {
+    const int u = path.back();
+    const size_t uu = static_cast<size_t>(u);
+    if (s->next[uu] == s->offsets[uu + 1]) {
+      s->dist[uu] = INT_MAX;
+      path.pop_back();
+      continue;
+    }
+    const int v = s->adj[static_cast<size_t>(s->next[uu]++)];
+    const int w = s->match_right[static_cast<size_t>(v)];
+    if (w < 0) {
+      for (int x : path) {
+        const size_t xx = static_cast<size_t>(x);
+        const int via = s->adj[static_cast<size_t>(s->next[xx] - 1)];
+        s->match_left[xx] = via;
+        s->match_right[static_cast<size_t>(via)] = x;
+      }
+      return true;
+    }
+    if (s->dist[static_cast<size_t>(w)] == s->dist[uu] + 1) path.push_back(w);
+  }
+  return false;
+}
+
 // LP-dual lower bound over size-2 sets: a maximum *fractional* matching
 // of the graph they form is dual-feasible for the hitting-set LP, so its
 // value bounds any hitting set of those edges from below. Its value is
 // half the maximum integral matching of the bipartite double cover
-// (each vertex split into a left and a right copy, each edge doubled),
-// which Dinic computes directly — no blossom needed. Returns the ceiling,
-// which is still a valid bound because hitting sets are integral.
-int FractionalMatchingBound(const std::vector<std::pair<int, int>>& edges,
-                            int max_id) {
-  if (edges.empty()) return 0;
-  std::vector<int> dense(static_cast<size_t>(max_id), -1);
-  int k = 0;
-  for (const auto& [a, b] : edges) {
-    if (dense[static_cast<size_t>(a)] < 0) dense[static_cast<size_t>(a)] = k++;
-    if (dense[static_cast<size_t>(b)] < 0) dense[static_cast<size_t>(b)] = k++;
+// (each vertex split into a left and a right copy, each edge doubled) —
+// whose left copy of a has exactly a's neighbours as right copies, so
+// Hopcroft–Karp runs on the graph's own CSR adjacency, no blossom
+// needed. Any maximum matching has the same size, so the bound does not
+// depend on which one is found. Returns the ceiling, which is still a
+// valid bound because hitting sets are integral. Reads s->edges (ids
+// below num_vertices).
+int FractionalMatchingBound(int num_vertices, MatchingScratch* s) {
+  if (s->edges.empty()) return 0;
+  const size_t n = static_cast<size_t>(num_vertices);
+  BuildCsr(n, s->edges, &s->offsets, &s->adj, &s->next);
+  s->match_left.assign(n, -1);
+  s->match_right.assign(n, -1);
+  s->dist.resize(n);
+  int matched = 0;
+  for (;;) {
+    // BFS layers from every free left copy over alternating paths; stop
+    // once no free right copy is reachable (the matching is maximum).
+    s->queue.clear();
+    for (size_t u = 0; u < n; ++u) {
+      if (s->match_left[u] < 0) {
+        s->dist[u] = 0;
+        s->queue.push_back(static_cast<int>(u));
+      } else {
+        s->dist[u] = INT_MAX;
+      }
+    }
+    bool reachable = false;
+    for (size_t head = 0; head < s->queue.size(); ++head) {
+      const size_t u = static_cast<size_t>(s->queue[head]);
+      for (int i = s->offsets[u]; i < s->offsets[u + 1]; ++i) {
+        const int v = s->adj[static_cast<size_t>(i)];
+        const int w = s->match_right[static_cast<size_t>(v)];
+        if (w < 0) {
+          reachable = true;
+        } else if (s->dist[static_cast<size_t>(w)] == INT_MAX) {
+          s->dist[static_cast<size_t>(w)] = s->dist[u] + 1;
+          s->queue.push_back(w);
+        }
+      }
+    }
+    if (!reachable) break;
+    s->next.assign(s->offsets.begin(), s->offsets.end() - 1);
+    for (size_t u = 0; u < n; ++u) {
+      if (s->match_left[u] < 0 && s->dist[u] == 0 &&
+          Augment(static_cast<int>(u), s)) {
+        ++matched;
+      }
+    }
   }
-  MaxFlow flow(2 + 2 * k);
-  const int s = 0, t = 1;
-  for (int i = 0; i < k; ++i) {
-    flow.AddEdge(s, 2 + i, 1);
-    flow.AddEdge(2 + k + i, t, 1);
-  }
-  for (const auto& [a, b] : edges) {
-    int ia = dense[static_cast<size_t>(a)];
-    int ib = dense[static_cast<size_t>(b)];
-    flow.AddEdge(2 + ia, 2 + k + ib, 1);
-    flow.AddEdge(2 + ib, 2 + k + ia, 1);
-  }
-  int64_t f = flow.Compute(s, t);
-  return static_cast<int>((f + 1) / 2);
+  return (matched + 1) / 2;
 }
 
 // Sorts every span in place, deduplicates the family, and drops
@@ -150,12 +242,17 @@ Family ReduceFamily(Family f) {
                                                pool + b.offset);
                            }),
                f.sets.end());
+  // Only a strictly shorter set can be a proper subset, and `out` is
+  // length-ascending: scan just its prefix of shorter sets (empty on a
+  // uniform-length family, so that case is linear).
   std::vector<SetSpan> out;
   out.reserve(f.sets.size());
+  size_t shorter = 0;  // out[0, shorter) have len < s.len
   for (SetSpan s : f.sets) {
+    while (shorter < out.size() && out[shorter].len < s.len) ++shorter;
     bool has_subset = false;
-    for (SetSpan t : out) {
-      if (t.len >= s.len) continue;
+    for (size_t k = 0; k < shorter; ++k) {
+      const SetSpan t = out[k];
       if (std::includes(pool + s.offset, pool + s.offset + s.len,
                         pool + t.offset, pool + t.offset + t.len)) {
         has_subset = true;
@@ -232,6 +329,8 @@ struct Solver {
   std::vector<int> current;      // chosen stack
   std::vector<int> best;
   int best_size = 0;
+  std::vector<char> used;        // bound scratch: per element, claimed
+  MatchingScratch matching;
 
   // For families that are already sorted, deduplicated, and subset-free
   // (per-component slices of a globally reduced family).
@@ -305,7 +404,7 @@ struct Solver {
   // element-disjoint open sets; each needs a distinct element.
   int PackingLowerBound() {
     int packed = 0;
-    std::vector<bool> used(static_cast<size_t>(num_elements), false);
+    used.assign(static_cast<size_t>(num_elements), 0);
     // Smaller sets first makes the packing larger on average; sets are
     // globally sorted by size already (the reduction sorts before
     // superset removal; removal preserves order).
@@ -331,7 +430,7 @@ struct Solver {
   // both), so it is a valid bound; it beats pure packing whenever the
   // 2-sets form odd structures the greedy can only half-use.
   int FlowLowerBound() {
-    std::vector<bool> used(static_cast<size_t>(num_elements), false);
+    used.assign(static_cast<size_t>(num_elements), 0);
     int packed = 0;
     for (size_t i = 0; i < family.size(); ++i) {
       if (hit_count[i] > 0) continue;
@@ -346,7 +445,8 @@ struct Solver {
         used[static_cast<size_t>(*p)] = true;
       }
     }
-    std::vector<std::pair<int, int>> edges;
+    std::vector<std::pair<int, int>>& edges = matching.edges;
+    edges.clear();
     for (size_t i = 0; i < family.size(); ++i) {
       if (hit_count[i] > 0 || family.len(i) != 2) continue;
       int a = family.begin(i)[0], b = family.begin(i)[1];
@@ -356,9 +456,9 @@ struct Solver {
       edges.emplace_back(a, b);
     }
     if (edges.size() < kFlowBoundMinEdges) {
-      return packed;  // skip the Dinic run, keep the packing just computed
+      return packed;  // skip the matching run, keep the packing just computed
     }
-    return packed + FractionalMatchingBound(edges, num_elements);
+    return packed + FractionalMatchingBound(num_elements, &matching);
   }
 
   // Finds the open set with the fewest elements; -1 if none.
@@ -391,7 +491,7 @@ struct Solver {
       ++ctx->packing_prunes;
       return;
     }
-    // The flow bound costs a Dinic run, so it only fires where the cheap
+    // The flow bound costs a matching run, so it only fires where the cheap
     // packing bound failed to prune and the search is demonstrably
     // non-trivial — exactly the nodes worth cutting.
     if (ctx->nodes >= kFlowBoundMinNodes) {
@@ -473,32 +573,109 @@ bool EliminateDominatedElements(Family* f) {
 // instances; the hardness gadgets produce exactly these). Classic branch
 // and bound: eager degree-0/1 reductions, branching "v in cover" vs
 // "N(v) in cover" on a maximum-degree vertex, a greedy-matching lower
-// bound backed by the fractional-matching flow bound, and a max-degree
-// greedy cover seeding the incumbent. Cycles and trees collapse under
-// the reductions, which is what the paper's variable gadgets are made of.
+// bound backed by the fractional-matching bound, and a max-degree greedy
+// cover seeding the incumbent. Cycles and trees collapse under the
+// reductions, which is what the paper's variable gadgets are made of.
+//
+// The graph never changes shape: a fixed CSR adjacency (rows ascending)
+// plus per-vertex `live` flags and live-neighbour `degree` counts. Taking
+// a vertex into the cover clears its flag and decrements its live
+// neighbours; `cover` doubles as the undo trail, so backtracking is
+// UndoTo(mark), which re-adds the vertices taken since `mark` in reverse
+// order. A node therefore costs O(V) scans plus the edges of the
+// vertices it takes, and allocates nothing once the scratch buffers have
+// grown.
 struct VcSolver {
-  std::vector<std::set<int>> adj;
+  std::vector<int> offsets;  // CSR row starts, num_vertices + 1
+  std::vector<int> nbrs;     // neighbours, ascending within each row
+  std::vector<char> live;    // not in the cover
+  std::vector<int> degree;   // live neighbours of a live vertex; 0 if taken
+  size_t live_edges = 0;
   SearchCtx* ctx = nullptr;
-  std::vector<int> cover;   // current partial cover
+  std::vector<int> cover;    // current partial cover, also the undo trail
   std::vector<int> best;
   size_t best_size = ~size_t{0};
+  std::vector<char> used;    // MatchingLowerBound scratch
+  MatchingScratch matching;
+
+  size_t num_vertices() const { return degree.size(); }
+  const int* row_begin(int v) const {
+    return nbrs.data() + offsets[static_cast<size_t>(v)];
+  }
+  const int* row_end(int v) const {
+    return nbrs.data() + offsets[static_cast<size_t>(v) + 1];
+  }
+
+  void Init(int n, const std::vector<std::pair<int, int>>& edges) {
+    const size_t nn = static_cast<size_t>(n);
+    std::vector<int> fill;
+    BuildCsr(nn, edges, &offsets, &nbrs, &fill);
+    degree.resize(nn);
+    for (size_t v = 0; v < nn; ++v) {
+      std::sort(nbrs.begin() + offsets[v], nbrs.begin() + offsets[v + 1]);
+      degree[v] = offsets[v + 1] - offsets[v];
+    }
+    live.assign(nn, 1);
+    live_edges = edges.size();
+  }
 
   void TakeVertex(int v) {
     cover.push_back(v);
-    std::set<int> neighbors = adj[static_cast<size_t>(v)];
-    for (int u : neighbors) {
-      adj[static_cast<size_t>(u)].erase(v);
+    live[static_cast<size_t>(v)] = 0;
+    live_edges -= static_cast<size_t>(degree[static_cast<size_t>(v)]);
+    degree[static_cast<size_t>(v)] = 0;
+    for (const int* u = row_begin(v); u != row_end(v); ++u) {
+      if (live[static_cast<size_t>(*u)]) --degree[static_cast<size_t>(*u)];
     }
-    adj[static_cast<size_t>(v)].clear();
+  }
+
+  // Pops the trail back to `mark`. Undoing in reverse take order restores
+  // exactly the live set each vertex saw when it was taken, so its degree
+  // is recounted from its live neighbours.
+  void UndoTo(size_t mark) {
+    while (cover.size() > mark) {
+      const int v = cover.back();
+      cover.pop_back();
+      int d = 0;
+      for (const int* u = row_begin(v); u != row_end(v); ++u) {
+        if (live[static_cast<size_t>(*u)]) {
+          ++degree[static_cast<size_t>(*u)];
+          ++d;
+        }
+      }
+      live[static_cast<size_t>(v)] = 1;
+      degree[static_cast<size_t>(v)] = d;
+      live_edges += static_cast<size_t>(d);
+    }
+  }
+
+  // The smallest live neighbour of v (v must have one).
+  int FirstLiveNeighbor(int v) const {
+    const int* u = row_begin(v);
+    while (!live[static_cast<size_t>(*u)]) ++u;
+    return *u;
+  }
+
+  // The maximum-degree vertex, ties to the smallest id; -1 if no edges.
+  int MaxDegreeVertex() const {
+    int v = -1;
+    int max_deg = 0;
+    for (size_t u = 0; u < num_vertices(); ++u) {
+      if (degree[u] > max_deg) {
+        max_deg = degree[u];
+        v = static_cast<int>(u);
+      }
+    }
+    return v;
   }
 
   void Reduce() {
     bool changed = true;
     while (changed) {
       changed = false;
-      for (size_t v = 0; v < adj.size(); ++v) {
-        if (adj[v].size() == 1) {
-          TakeVertex(*adj[v].begin());
+      for (size_t v = 0; v < num_vertices(); ++v) {
+        if (degree[v] == 1) {
+          TakeVertex(FirstLiveNeighbor(static_cast<int>(v)));
           changed = true;
         }
       }
@@ -509,68 +686,58 @@ struct VcSolver {
   // first search node and a budget-stopped search still holds a feasible
   // answer.
   void GreedySeed() {
-    std::vector<std::set<int>> saved = adj;
-    for (;;) {
-      int v = -1;
-      size_t max_deg = 0;
-      for (size_t u = 0; u < adj.size(); ++u) {
-        if (adj[u].size() > max_deg) {
-          max_deg = adj[u].size();
-          v = static_cast<int>(u);
-        }
-      }
-      if (v < 0) break;
+    const size_t mark = cover.size();
+    for (int v = MaxDegreeVertex(); v >= 0; v = MaxDegreeVertex()) {
       TakeVertex(v);
     }
     best = cover;
     best_size = cover.size();
-    adj = std::move(saved);
-    cover.clear();
+    UndoTo(mark);
   }
 
-  size_t MatchingLowerBound() const {
-    std::vector<bool> used(adj.size(), false);
-    size_t matching = 0;
-    for (size_t v = 0; v < adj.size(); ++v) {
-      if (used[v]) continue;
-      for (int u : adj[v]) {
-        if (!used[static_cast<size_t>(u)]) {
-          used[v] = true;
-          used[static_cast<size_t>(u)] = true;
-          ++matching;
+  size_t MatchingLowerBound() {
+    used.assign(num_vertices(), 0);
+    size_t matching_size = 0;
+    for (size_t v = 0; v < num_vertices(); ++v) {
+      if (used[v] || degree[v] == 0) continue;
+      for (const int* u = row_begin(static_cast<int>(v));
+           u != row_end(static_cast<int>(v)); ++u) {
+        const size_t uu = static_cast<size_t>(*u);
+        if (live[uu] && !used[uu]) {
+          used[v] = 1;
+          used[uu] = 1;
+          ++matching_size;
           break;
         }
       }
     }
-    return matching;
+    return matching_size;
   }
 
-  // Fractional matching over the remaining edges (see
+  // Fractional matching over the live edges (see
   // FractionalMatchingBound): exact on bipartite residuals by König, and
   // gains the +1/2-per-odd-component the greedy matching leaves behind.
-  size_t FlowLowerBound() const {
-    std::vector<std::pair<int, int>> edges;
-    for (size_t v = 0; v < adj.size(); ++v) {
-      for (int u : adj[v]) {
-        if (u > static_cast<int>(v)) edges.emplace_back(static_cast<int>(v), u);
+  size_t FlowLowerBound() {
+    if (live_edges < kFlowBoundMinEdges) return 0;  // not worth a matching run
+    std::vector<std::pair<int, int>>& edges = matching.edges;
+    edges.clear();
+    for (size_t v = 0; v < num_vertices(); ++v) {
+      if (degree[v] == 0) continue;
+      for (const int* u = row_begin(static_cast<int>(v));
+           u != row_end(static_cast<int>(v)); ++u) {
+        if (*u > static_cast<int>(v) && live[static_cast<size_t>(*u)]) {
+          edges.emplace_back(static_cast<int>(v), *u);
+        }
       }
     }
-    if (edges.size() < kFlowBoundMinEdges) return 0;  // not worth a Dinic run
-    return static_cast<size_t>(
-        FractionalMatchingBound(edges, static_cast<int>(adj.size())));
+    return static_cast<size_t>(FractionalMatchingBound(
+        static_cast<int>(num_vertices()), &matching));
   }
 
   void Search() {
     if (!ctx->TakeNode()) return;
     Reduce();
-    int branch = -1;
-    size_t max_deg = 0;
-    for (size_t v = 0; v < adj.size(); ++v) {
-      if (adj[v].size() > max_deg) {
-        max_deg = adj[v].size();
-        branch = static_cast<int>(v);
-      }
-    }
+    const int branch = MaxDegreeVertex();
     if (branch < 0) {
       if (cover.size() < best_size) {
         best = cover;
@@ -591,20 +758,20 @@ struct VcSolver {
       }
     }
 
-    std::vector<std::set<int>> saved_adj = adj;
-    size_t saved_cover = cover.size();
+    const size_t mark = cover.size();
     // Branch 1: v in the cover.
     TakeVertex(branch);
     Search();
-    adj = saved_adj;
-    cover.resize(saved_cover);
+    UndoTo(mark);
     if (ctx->BudgetExceeded()) return;
-    // Branch 2: all neighbors of v in the cover.
-    std::set<int> neighbors = adj[static_cast<size_t>(branch)];
-    for (int u : neighbors) TakeVertex(u);
+    // Branch 2: all live neighbours of v in the cover, ascending. Taking
+    // one never kills another (v stays live), so filtering the fixed row
+    // by `live` as it goes visits exactly the neighbours v had here.
+    for (const int* u = row_begin(branch); u != row_end(branch); ++u) {
+      if (live[static_cast<size_t>(*u)]) TakeVertex(*u);
+    }
     Search();
-    adj = saved_adj;
-    cover.resize(saved_cover);
+    UndoTo(mark);
   }
 };
 
@@ -624,16 +791,16 @@ VcInstance BuildVcInstance(const Family& f, int num_elements) {
     if (f.len(i) == 1) forced[static_cast<size_t>(f.begin(i)[0])] = true;
   }
   VcInstance inst;
-  inst.vc.adj.resize(static_cast<size_t>(num_elements));
+  std::vector<std::pair<int, int>> edges;
   for (size_t i = 0; i < f.size(); ++i) {
     if (f.len(i) != 2) continue;
     const int a = f.begin(i)[0], b = f.begin(i)[1];
     if (forced[static_cast<size_t>(a)] || forced[static_cast<size_t>(b)]) {
       continue;  // already hit
     }
-    inst.vc.adj[static_cast<size_t>(a)].insert(b);
-    inst.vc.adj[static_cast<size_t>(b)].insert(a);
+    edges.emplace_back(a, b);
   }
+  inst.vc.Init(num_elements, edges);
   for (int e = 0; e < num_elements; ++e) {
     if (forced[static_cast<size_t>(e)]) inst.forced.push_back(e);
   }
@@ -867,9 +1034,16 @@ ResilienceResult ComputeResilienceExact(const Query& q, const Database& db,
     return result;  // D does not satisfy q
   }
 
-  // Map tuples to dense element ids, straight from the family's spans
-  // into the solver's pool — no per-set vectors in between.
-  std::map<TupleId, int> ids;
+  // Map tuples to dense element ids in first-seen order, straight from
+  // the family's spans into the solver's pool — no per-set vectors in
+  // between. The id table is flat: relation r's rows start at
+  // row_base[r], and -1 marks a tuple not seen yet.
+  std::vector<size_t> row_base(static_cast<size_t>(db.num_relations()) + 1, 0);
+  for (int r = 0; r < db.num_relations(); ++r) {
+    row_base[static_cast<size_t>(r) + 1] =
+        row_base[static_cast<size_t>(r)] + static_cast<size_t>(db.NumRows(r));
+  }
+  std::vector<int> ids(row_base.back(), -1);
   std::vector<TupleId> tuples;
   HittingSetFamily hs;
   hs.pool.reserve(family.arena.pool_size());
@@ -877,9 +1051,13 @@ ResilienceResult ComputeResilienceExact(const Query& q, const Database& db,
   for (size_t i = 0; i < family.size(); ++i) {
     const uint32_t offset = static_cast<uint32_t>(hs.pool.size());
     for (const TupleId* t = family.begin(i); t != family.end(i); ++t) {
-      auto [it, inserted] = ids.emplace(*t, static_cast<int>(tuples.size()));
-      if (inserted) tuples.push_back(*t);
-      hs.pool.push_back(it->second);
+      int& id = ids[row_base[static_cast<size_t>(t->relation)] +
+                    static_cast<size_t>(t->row)];
+      if (id < 0) {
+        id = static_cast<int>(tuples.size());
+        tuples.push_back(*t);
+      }
+      hs.pool.push_back(id);
     }
     hs.sets.push_back(SetSpan{offset, family.sets[i].len});
   }

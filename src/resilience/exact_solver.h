@@ -84,7 +84,8 @@ struct ExactStats {
   int components = 0;         // independent hitting-set components
   uint64_t nodes = 0;         // branch-and-bound nodes expanded
   uint64_t packing_prunes = 0;  // subtrees cut by the greedy packing bound
-  uint64_t flow_prunes = 0;     // subtrees cut by the max-flow bound
+  uint64_t flow_prunes = 0;     // subtrees cut by the fractional-matching
+                                // ("flow") bound
   bool witness_budget_exceeded = false;
   bool node_budget_exceeded = false;
 
@@ -110,10 +111,10 @@ struct HittingSetResult {
 ///  - singleton sets force their element,
 ///  - branching picks the smallest open set and tries each element,
 ///  - lower bounds: greedy packing of pairwise-disjoint open sets, then
-///    (when that fails to prune) a max-flow bound — the LP-dual
+///    (when that fails to prune) the "flow" bound — the LP-dual
 ///    fractional matching over the open size-2 sets, computed as half
-///    the maximum matching of the bipartite double cover, stacked on a
-///    disjoint packing of the larger sets,
+///    the maximum matching of the bipartite double cover (Hopcroft–Karp),
+///    stacked on a disjoint packing of the larger sets,
 ///  - upper bound: greedy max-frequency hitting seeds the incumbent.
 /// `sets` must be non-empty sets of non-negative element ids.
 HittingSetResult SolveMinHittingSet(const std::vector<std::vector<int>>& sets);

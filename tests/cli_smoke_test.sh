@@ -260,7 +260,21 @@ stats_out="$(mktemp)"
     --stats | normalize_times > "$stats_out"
 expect_same "resilience --stats matches the golden file" \
     "$SRC/tests/golden/resilience_stats_chain.golden" "$stats_out"
-rm -f "$stats_out"
+
+# The same counter golden on a q_vc instance deep enough for the vertex
+# cover search: past the flow bound's node gate, with packing and flow
+# prunes. Solved on 1 and on 4 solver threads, both runs must match the
+# one golden file (counters and contingency are thread-invariant).
+vc_tuples="$(mktemp)"
+"$RESCQ" gen --scenario vc_er --size 40 --density 0.5 --seed 1 \
+    --out "$vc_tuples" >/dev/null
+for solver_threads in 1 4; do
+  "$RESCQ" resilience "R(x), S(x,y), R(y)" "$vc_tuples" --stats \
+      --solver-threads "$solver_threads" | normalize_times > "$stats_out"
+  expect_same "vc_er/40 --stats, $solver_threads solver thread(s), matches golden" \
+      "$SRC/tests/golden/resilience_stats_vc_er40.golden" "$stats_out"
+done
+rm -f "$stats_out" "$vc_tuples"
 
 # batch: a tiny smoke sweep over every scenario on 2 threads, with the
 # exact-solver cross-check on; the JSON report is left in the working

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "cq/parser.h"
 #include "db/database.h"
+#include "db/witness.h"
 #include "resilience/exact_solver.h"
+#include "util/fnv.h"
 #include "util/rng.h"
+#include "workload/scenario.h"
 
 namespace rescq {
 namespace {
@@ -56,6 +62,18 @@ TEST(HittingSet, PetersenGraphVertexCover) {
   EXPECT_EQ(SolveMinHittingSet(edges).size, 6);
 }
 
+bool HitsEverySet(const std::vector<std::vector<int>>& sets,
+                  const std::vector<int>& chosen) {
+  for (const std::vector<int>& s : sets) {
+    bool hit = false;
+    for (int e : s) {
+      hit = hit || std::find(chosen.begin(), chosen.end(), e) != chosen.end();
+    }
+    if (!hit) return false;
+  }
+  return true;
+}
+
 TEST(HittingSet, ChosenElementsHitEverySet) {
   Rng rng(123);
   for (int trial = 0; trial < 20; ++trial) {
@@ -70,30 +88,183 @@ TEST(HittingSet, ChosenElementsHitEverySet) {
       sets.push_back(set);
     }
     HittingSetResult r = SolveMinHittingSet(sets);
-    for (const std::vector<int>& s : sets) {
-      bool hit = false;
-      for (int e : s) {
-        for (int c : r.chosen) hit = hit || (c == e);
+    EXPECT_TRUE(HitsEverySet(sets, r.chosen));
+  }
+}
+
+// Exhaustive search over every hitting set of the universe: elements
+// are decided in ascending order, in or out, and a branch dies only when
+// some set has all of its elements out. No bounds and no reductions, so
+// it shares nothing with the solver; the number of branches is about the
+// number of hitting sets (independent sets' complements on graphs), which
+// keeps dense graphs of up to ~30 vertices quick. Element ids must be
+// below 32.
+int BruteForceHittingSet(const std::vector<std::vector<int>>& sets,
+                         int universe) {
+  // Sets by their largest element: deciding that element out is the last
+  // chance to hit them.
+  std::vector<std::vector<uint32_t>> closing(static_cast<size_t>(universe));
+  for (const std::vector<int>& s : sets) {
+    uint32_t m = 0;
+    int top = 0;
+    for (int e : s) {
+      m |= 1u << e;
+      top = std::max(top, e);
+    }
+    closing[static_cast<size_t>(top)].push_back(m);
+  }
+  int best = universe;
+  std::vector<std::pair<int, uint32_t>> stack = {{0, 0u}};
+  while (!stack.empty()) {
+    auto [e, in] = stack.back();
+    stack.pop_back();
+    if (e == universe) {
+      best = std::min(best, __builtin_popcount(in));
+      continue;
+    }
+    stack.push_back({e + 1, in | (1u << e)});
+    bool out_ok = true;
+    for (uint32_t m : closing[static_cast<size_t>(e)]) {
+      out_ok = out_ok && (m & in) != 0;
+    }
+    if (out_ok) stack.push_back({e + 1, in});
+  }
+  return best;
+}
+
+// Random G(n, p) edge sets, edge probability p_tenths / 10, plus a
+// couple of singletons.
+std::vector<std::vector<int>> DenseGraphFamily(int n, int p_tenths,
+                                               Rng& rng) {
+  std::vector<std::vector<int>> sets;
+  for (int a = 0; a < n; ++a) {
+    for (int b = a + 1; b < n; ++b) {
+      if (rng.Chance(static_cast<uint64_t>(p_tenths), 10)) {
+        sets.push_back({a, b});
       }
-      EXPECT_TRUE(hit);
+    }
+  }
+  for (int k = 0; k < 2; ++k) {
+    sets.push_back({static_cast<int>(rng.Below(static_cast<uint64_t>(n)))});
+  }
+  return sets;
+}
+
+// Dense graphs against the brute force. Up to 18 vertices the vertex
+// cover search stays below the flow bound's 32-node gate (at most 25
+// nodes here), so 28- and 30-vertex graphs follow: those run past the
+// gate, where the search undoes deep trails and the fractional-matching
+// bound prunes. The smaller sweeps above never get there.
+TEST(HittingSet, MatchesBruteForceOnDenseGraphs) {
+  Rng rng(2024);
+  uint64_t max_nodes = 0;
+  uint64_t flow_prunes = 0;
+  for (int n : {14, 15, 16, 17, 18, 28, 30}) {
+    for (int p : {3, 5, 7}) {
+      for (int trial = 0; trial < 2; ++trial) {
+        std::vector<std::vector<int>> sets = DenseGraphFamily(n, p, rng);
+        ExactStats stats;
+        HittingSetResult r = SolveMinHittingSet(sets, ExactOptions{}, &stats);
+        EXPECT_TRUE(r.proven_optimal);
+        EXPECT_EQ(r.size, BruteForceHittingSet(sets, n))
+            << "n=" << n << " p=0." << p << " trial " << trial;
+        EXPECT_TRUE(HitsEverySet(sets, r.chosen))
+            << "n=" << n << " p=0." << p << " trial " << trial;
+        max_nodes = std::max(max_nodes, stats.nodes);
+        flow_prunes += stats.flow_prunes;
+      }
+    }
+  }
+  EXPECT_GE(max_nodes, 32u);
+  EXPECT_GT(flow_prunes, 0u);
+}
+
+TEST(HittingSet, BudgetedDenseGraphsKeepAFeasibleCover) {
+  Rng rng(4048);
+  for (int n = 14; n <= 18; ++n) {
+    for (int p : {3, 5, 7}) {
+      std::vector<std::vector<int>> sets = DenseGraphFamily(n, p, rng);
+      ExactOptions options;
+      options.node_budget = 5;
+      ExactStats stats;
+      HittingSetResult r = SolveMinHittingSet(sets, options, &stats);
+      EXPECT_TRUE(HitsEverySet(sets, r.chosen))
+          << "n=" << n << " p=0." << p;
+      EXPECT_EQ(r.size, static_cast<int>(r.chosen.size()));
+      EXPECT_GE(r.size, BruteForceHittingSet(sets, n));
+      EXPECT_EQ(r.proven_optimal, !stats.node_budget_exceeded);
     }
   }
 }
 
-// Brute force over all subsets of the universe.
-int BruteForceHittingSet(const std::vector<std::vector<int>>& sets,
-                         int universe) {
-  int best = universe;
-  for (uint32_t mask = 0; mask < (1u << universe); ++mask) {
-    bool all_hit = true;
-    for (const std::vector<int>& s : sets) {
-      bool hit = false;
-      for (int e : s) hit = hit || ((mask >> e) & 1);
-      all_hit = all_hit && hit;
+// The witness family of a generated scenario instance (density 0.5) as
+// a hitting-set family over dense element ids, tuples numbered in
+// first-seen order.
+HittingSetFamily ScenarioFamily(const char* name, int size, uint64_t seed) {
+  const Scenario* scenario = FindScenario(name);
+  EXPECT_NE(scenario, nullptr) << name;
+  ScenarioParams params;
+  params.size = size;
+  params.density = 0.5;
+  params.seed = seed;
+  Database db = scenario->generate(params);
+  Query q = MustParseQuery(scenario->query);
+  WitnessFamily witnesses = CollectWitnessFamily(q, db, kNoWitnessLimit);
+  std::map<TupleId, int> ids;
+  HittingSetFamily family;
+  for (size_t i = 0; i < witnesses.size(); ++i) {
+    std::vector<int> set;
+    for (const TupleId* t = witnesses.begin(i); t != witnesses.end(i); ++t) {
+      set.push_back(
+          ids.emplace(*t, static_cast<int>(ids.size())).first->second);
     }
-    if (all_hit) best = std::min(best, __builtin_popcount(mask));
+    family.Add(set);
   }
-  return best;
+  return family;
+}
+
+void MixU64(uint64_t v, Fnv1a* h) {
+  h->MixU32(static_cast<uint32_t>(v));
+  h->MixU32(static_cast<uint32_t>(v >> 32));
+}
+
+// Pins the search itself, not just its answers: (size, chosen, nodes,
+// packing / flow prunes, components) of SolveMinHittingSet and the root
+// HittingSetLowerBound over fixed-seed families of the NP-hard cells,
+// folded into one digest. Any change to visit order, bound values or
+// gates moves a counter and with it the digest. The constant was
+// recorded from the set-based vertex-cover search and Dinic matching
+// bound that the trail-undo search and Hopcroft-Karp bound replaced.
+TEST(ExactSolver, SearchIsPinnedByDigest) {
+  struct Cell {
+    const char* scenario;
+    int size;
+  };
+  const Cell cells[] = {
+      {"vc_er", 30},      {"vc_er", 40},   {"vc_er", 50},
+      {"vc_planted", 60}, {"vc_path", 60}, {"vc_grid", 400},
+      {"chain", 120},     {"triad", 7},    {"uniform", 80},
+  };
+  Fnv1a h;
+  uint64_t flow_prunes = 0;
+  for (const Cell& cell : cells) {
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+      HittingSetFamily family = ScenarioFamily(cell.scenario, cell.size, seed);
+      ExactStats stats;
+      HittingSetResult r = SolveMinHittingSet(family, ExactOptions{}, &stats);
+      ASSERT_TRUE(r.proven_optimal) << cell.scenario << "/" << cell.size;
+      h.MixU32(static_cast<uint32_t>(r.size));
+      for (int e : r.chosen) h.MixU32(static_cast<uint32_t>(e));
+      MixU64(stats.nodes, &h);
+      MixU64(stats.packing_prunes, &h);
+      MixU64(stats.flow_prunes, &h);
+      h.MixU32(static_cast<uint32_t>(stats.components));
+      h.MixU32(static_cast<uint32_t>(HittingSetLowerBound(family)));
+      flow_prunes += stats.flow_prunes;
+    }
+  }
+  EXPECT_GT(flow_prunes, 0u);  // the matching bound is part of the pin
+  EXPECT_EQ(h.digest(), 0x0b8fa4f0162b5493ULL);
 }
 
 TEST(HittingSet, MatchesBruteForceOnRandomInstances) {
@@ -138,14 +309,7 @@ TEST(HittingSet, MatchesBruteForceWithMixedSetSizes) {
     EXPECT_EQ(r.size, BruteForceHittingSet(sets, universe))
         << "trial " << trial;
     // The chosen elements really hit everything.
-    for (const std::vector<int>& s : sets) {
-      bool hit = false;
-      for (int e : s) {
-        hit = hit || std::find(r.chosen.begin(), r.chosen.end(), e) !=
-                         r.chosen.end();
-      }
-      EXPECT_TRUE(hit) << "trial " << trial;
-    }
+    EXPECT_TRUE(HitsEverySet(sets, r.chosen)) << "trial " << trial;
   }
 }
 
@@ -192,14 +356,7 @@ TEST(HittingSet, NodeBudgetReturnsFeasibleIncumbent) {
   ExactStats stats;
   HittingSetResult r = SolveMinHittingSet(sets, options, &stats);
   EXPECT_TRUE(stats.node_budget_exceeded || r.proven_optimal);
-  for (const std::vector<int>& s : sets) {
-    bool hit = false;
-    for (int e : s) {
-      hit = hit ||
-            std::find(r.chosen.begin(), r.chosen.end(), e) != r.chosen.end();
-    }
-    EXPECT_TRUE(hit);
-  }
+  EXPECT_TRUE(HitsEverySet(sets, r.chosen));
   // An unlimited run can only be at least as good.
   HittingSetResult full = SolveMinHittingSet(sets);
   EXPECT_LE(full.size, r.size);
