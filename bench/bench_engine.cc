@@ -41,13 +41,6 @@ Database MakeInstance(const Workload& w, uint64_t seed) {
 EngineOptions Unplanned() {
   EngineOptions options;
   options.plan_cache_capacity = 0;  // legacy: re-analyze on every call
-  options.collect_stats = false;
-  return options;
-}
-
-EngineOptions Planned() {
-  EngineOptions options;
-  options.collect_stats = false;
   return options;
 }
 
@@ -64,7 +57,7 @@ void PrintRepeatedSolveTable() {
     Query q = CatalogQuery(w.query);
     double ms[2] = {0, 0};
     for (int planned = 0; planned < 2; ++planned) {
-      ResilienceEngine engine(planned ? Planned() : Unplanned());
+      ResilienceEngine engine(planned ? EngineOptions{} : Unplanned());
       auto start = std::chrono::steady_clock::now();
       for (int i = 0; i < kCalls; ++i) {
         Database db = MakeInstance(w, 1 + static_cast<uint64_t>(i % 8));
@@ -81,7 +74,7 @@ void PrintRepeatedSolveTable() {
 
 void BM_SolvePlanned(benchmark::State& state, const Workload& w) {
   Query q = CatalogQuery(w.query);
-  ResilienceEngine engine(Planned());
+  ResilienceEngine engine;
   Database db = MakeInstance(w, 1);
   engine.Solve(q, db);  // warm the plan cache
   for (auto _ : state) {

@@ -404,7 +404,9 @@ void PrintComparison() {
     ExactStats stats;
     double new_ms = BestMs([&] {
       stats = ExactStats{};
-      new_result = SolveMinHittingSet(sets, ExactOptions{}, &stats);
+      new_result =
+          SolveMinHittingSet(HittingSetFamily::From(sets),
+                             ExactOptions{}, &stats);
     });
     const char* agree = seed_result.size == new_result.size ? "" : "  DISAGREE";
     std::printf(
@@ -429,7 +431,7 @@ void BM_ComponentFlowHittingSet(benchmark::State& state,
   std::vector<std::vector<int>> sets =
       ScenarioHittingSets(scenario, static_cast<int>(state.range(0)), 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveMinHittingSet(sets));
+    benchmark::DoNotOptimize(SolveMinHittingSet(HittingSetFamily::From(sets)));
   }
 }
 

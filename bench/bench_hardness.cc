@@ -11,6 +11,7 @@
 #include "bench_util.h"
 #include "complexity/catalog.h"
 #include "cq/parser.h"
+#include "resilience/engine.h"
 #include "resilience/exact_solver.h"
 #include "resilience/solver.h"
 
@@ -18,6 +19,7 @@ namespace rescq {
 namespace {
 
 void PrintContrastTable() {
+  ResilienceEngine engine;
   bench::PrintHeader(
       "E8: hard twins vs easy twins (Section 3.1)",
       "q_chain (hard) vs q_ACconf (easy) on random databases of the same "
@@ -33,7 +35,7 @@ void PrintContrastTable() {
       Database db = bench::RandomDatabase(q, std::max(4, tuples / 4),
                                           tuples, rng);
       auto t0 = Clock::now();
-      ResilienceResult r = ComputeResilience(q, db);
+      ResilienceResult r = engine.Solve(q, db).result;
       auto t1 = Clock::now();
       std::printf("%-12s %-12s %8d %8d %14.1f\n", name,
                   ComplexityName(entry.expected), tuples, r.resilience,

@@ -143,7 +143,8 @@ void ProbeExactSolve() {
     options.solver_threads = threads;
     Measure("exact-solve-t" + std::to_string(threads), /*enforced=*/true, [&] {
       ExactStats stats;
-      benchmark::DoNotOptimize(SolveMinHittingSet(sets, options, &stats));
+      benchmark::DoNotOptimize(
+          SolveMinHittingSet(HittingSetFamily::From(sets), options, &stats));
     });
   }
 }

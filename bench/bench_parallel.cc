@@ -157,7 +157,8 @@ void PrintSolveScaling() {
       HittingSetResult result;
       row.ms[t] = BestMs([&] {
         stats = ExactStats{};
-        result = SolveMinHittingSet(sets, options, &stats);
+        result =
+            SolveMinHittingSet(HittingSetFamily::From(sets), options, &stats);
       });
       if (t == 0) {
         serial_size = result.size;
@@ -273,7 +274,8 @@ void PrintPoolUtilization() {
     ExactOptions options;
     options.solver_threads = threads;
     ExactStats stats;
-    HittingSetResult result = SolveMinHittingSet(sets, options, &stats);
+    HittingSetResult result =
+        SolveMinHittingSet(HittingSetFamily::From(sets), options, &stats);
     benchmark::DoNotOptimize(result);
     auto counter = [](const char* name) -> uint64_t {
       const obs::Counter* c = obs::GlobalRegistry().FindCounter(name);
@@ -339,7 +341,8 @@ void BM_ParallelHittingSet(benchmark::State& state, const char* scenario) {
   options.solver_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     ExactStats stats;
-    benchmark::DoNotOptimize(SolveMinHittingSet(sets, options, &stats));
+    benchmark::DoNotOptimize(
+        SolveMinHittingSet(HittingSetFamily::From(sets), options, &stats));
   }
 }
 

@@ -12,6 +12,7 @@
 #include "bench_util.h"
 #include "complexity/catalog.h"
 #include "cq/parser.h"
+#include "resilience/engine.h"
 #include "resilience/exact_solver.h"
 #include "resilience/solver.h"
 
@@ -23,6 +24,7 @@ const char* kFamilies[] = {"q_lin",     "q_ACconf",     "q_perm",
                            "q_A3perm_R", "q_Swx3perm_R", "q_rats"};
 
 void PrintAgreementTable() {
+  ResilienceEngine engine;
   bench::PrintHeader(
       "E7a: PTIME solver vs exact oracle (agreement)",
       "20 random databases per family; the dispatcher's answer must equal "
@@ -38,7 +40,7 @@ void PrintAgreementTable() {
     const char* solver = "-";
     for (int t = 0; t < 20; ++t) {
       Database db = bench::RandomDatabase(q, 5, 12, rng);
-      ResilienceResult fast = ComputeResilience(q, db);
+      ResilienceResult fast = engine.Solve(q, db).result;
       ResilienceResult exact = ComputeResilienceExact(q, db);
       if (fast.unbreakable != exact.unbreakable ||
           (!exact.unbreakable && fast.resilience != exact.resilience)) {
@@ -56,6 +58,7 @@ void PrintAgreementTable() {
 }
 
 void PrintScalingTable() {
+  ResilienceEngine engine;
   bench::PrintHeader(
       "E7b: who wins, by what factor",
       "Wall-clock (microseconds, single run) of the dispatcher's PTIME "
@@ -70,7 +73,7 @@ void PrintScalingTable() {
       Rng rng(0xABC ^ static_cast<uint64_t>(tuples));
       Database db = bench::RandomDatabase(q, tuples / 4, tuples, rng);
       auto t0 = Clock::now();
-      ResilienceResult fast = ComputeResilience(q, db);
+      ResilienceResult fast = engine.Solve(q, db).result;
       auto t1 = Clock::now();
       double fast_us =
           std::chrono::duration<double, std::micro>(t1 - t0).count();
@@ -94,12 +97,13 @@ void PrintScalingTable() {
 }
 
 void BM_PtimeSolver(benchmark::State& state, const char* name) {
+  ResilienceEngine engine;
   Query q = MustParseQuery(FindCatalogEntry(name)->text);
   int tuples = static_cast<int>(state.range(0));
   Rng rng(static_cast<uint64_t>(tuples) * 31 + 7);
   Database db = bench::RandomDatabase(q, std::max(3, tuples / 3), tuples, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeResilience(q, db));
+    benchmark::DoNotOptimize(engine.Solve(q, db).result);
   }
 }
 BENCHMARK_CAPTURE(BM_PtimeSolver, qACconf, "q_ACconf")

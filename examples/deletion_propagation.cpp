@@ -14,6 +14,7 @@
 #include "cq/parser.h"
 #include "db/database.h"
 #include "db/witness.h"
+#include "resilience/engine.h"
 #include "resilience/solver.h"
 
 int main() {
@@ -50,7 +51,8 @@ int main() {
               ComplexityName(c.complexity), c.pattern.c_str());
 
   // The data side: this instance is small, so the exact solver answers.
-  ResilienceResult r = ComputeResilience(alert, db);
+  ResilienceEngine engine;
+  ResilienceResult r = engine.Solve(alert, db).result;
   std::printf("minimum source side-effect: remove %d follow edge(s):\n",
               r.resilience);
   for (TupleId t : r.contingency) {

@@ -8,6 +8,7 @@
 #include "cq/parser.h"
 #include "db/database.h"
 #include "db/witness.h"
+#include "resilience/engine.h"
 #include "resilience/solver.h"
 
 int main() {
@@ -40,8 +41,11 @@ int main() {
   }
 
   // 4. Compute the resilience: the minimum number of endogenous tuples
-  //    whose deletion makes the query false.
-  ResilienceResult r = ComputeResilience(q, db);
+  //    whose deletion makes the query false. The engine plans the query
+  //    once (classify, pick the paper's construction) and reuses the
+  //    plan for every later Solve of the same query.
+  ResilienceEngine engine;
+  ResilienceResult r = engine.Solve(q, db).result;
   std::printf("resilience rho(q, D) = %d (solver: %s)\n", r.resilience,
               SolverKindName(r.solver));
   std::printf("a minimum contingency set:\n");

@@ -7,9 +7,12 @@ namespace rescq {
 VertexCoverResult MinVertexCover(const Graph& g) {
   VertexCoverResult result;
   if (g.edges.empty()) return result;
-  std::vector<std::vector<int>> sets;
-  for (auto [u, v] : g.edges) sets.push_back({u, v});
-  HittingSetResult hs = SolveMinHittingSet(sets);
+  HittingSetFamily family;
+  for (auto [u, v] : g.edges) {
+    const int edge[2] = {u, v};
+    family.Add(edge, 2);
+  }
+  HittingSetResult hs = SolveMinHittingSet(family);
   result.size = hs.size;
   result.cover = hs.chosen;
   return result;

@@ -19,7 +19,8 @@
 
 namespace rescq {
 
-/// Engine knobs. The defaults reproduce ComputeResilience exactly.
+/// Engine knobs. The defaults are the paper's dispatch with no budgets:
+/// every answer is exact and every component is solved in full.
 struct EngineOptions {
   /// Always run the exact solver on the original query (the reference
   /// oracle); planning is skipped entirely.
@@ -29,8 +30,6 @@ struct EngineOptions {
   /// reports the failure in SolveOutcome::error instead of silently
   /// paying an exponential solve.
   bool allow_fallback = true;
-  /// Collect per-stage wall times in the outcome.
-  bool collect_stats = true;
   /// LRU capacity of the plan cache, in plans. 0 disables caching
   /// (every Solve re-runs the query analysis — the legacy behavior).
   size_t plan_cache_capacity = 256;

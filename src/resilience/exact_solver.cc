@@ -846,11 +846,6 @@ Family ReduceToFixpoint(Family f) {
 
 }  // namespace
 
-HittingSetResult SolveMinHittingSet(
-    const std::vector<std::vector<int>>& sets) {
-  return SolveMinHittingSet(sets, ExactOptions{}, nullptr);
-}
-
 int HittingSetLowerBound(const HittingSetFamily& family) {
   if (family.empty()) return 0;
   Solver solver;  // ctx stays null: the root bounds never take a node
@@ -859,16 +854,6 @@ int HittingSetLowerBound(const HittingSetFamily& family) {
   // subsumes the packing one only on 2-set-heavy families, so take the
   // max.
   return std::max(solver.PackingLowerBound(), solver.FlowLowerBound());
-}
-
-int HittingSetLowerBound(const std::vector<std::vector<int>>& sets) {
-  return HittingSetLowerBound(HittingSetFamily::From(sets));
-}
-
-HittingSetResult SolveMinHittingSet(const std::vector<std::vector<int>>& sets,
-                                    const ExactOptions& options,
-                                    ExactStats* stats) {
-  return SolveMinHittingSet(HittingSetFamily::From(sets), options, stats);
 }
 
 HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,

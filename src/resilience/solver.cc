@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "db/witness.h"
-#include "resilience/engine.h"
 
 namespace rescq {
 
@@ -32,42 +31,6 @@ const char* SolverKindName(SolverKind kind) {
   // a -Wswitch warning, and a corrupted value aborts instead of leaking
   // a placeholder into reports (the names are a compatibility surface).
   std::abort();
-}
-
-namespace {
-
-// Process-wide engines behind the legacy entry points. Plans are shared
-// across every caller of ComputeResilience (mutex-guarded LRU), so even
-// code that never sees a ResilienceEngine benefits from plan reuse.
-ResilienceEngine& SharedEngine() {
-  static ResilienceEngine* const kEngine = [] {
-    EngineOptions options;
-    options.collect_stats = false;
-    return new ResilienceEngine(options);
-  }();
-  return *kEngine;
-}
-
-ResilienceEngine& SharedReferenceEngine() {
-  static ResilienceEngine* const kEngine = [] {
-    EngineOptions options;
-    options.force_exact = true;
-    options.collect_stats = false;
-    options.plan_cache_capacity = 0;  // force_exact never plans
-    return new ResilienceEngine(options);
-  }();
-  return *kEngine;
-}
-
-}  // namespace
-
-ResilienceResult ComputeResilience(const Query& q, const Database& db) {
-  return SharedEngine().Solve(q, db).result;
-}
-
-ResilienceResult ComputeResilienceReference(const Query& q,
-                                            const Database& db) {
-  return SharedReferenceEngine().Solve(q, db).result;
 }
 
 bool VerifyContingency(const Query& q, Database& db,

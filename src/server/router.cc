@@ -210,7 +210,7 @@ std::string RouterConnection::Forward(size_t i, const std::string& line,
   }
   MarkUp(i);
   obs::Count("shard.forwarded");
-  obs::Count(("shard.forwarded." + std::to_string(i)).c_str());
+  obs::Count(shard(i).forwarded_metric.c_str());
   return reply + "\n";
 }
 
@@ -415,6 +415,8 @@ ShardRouter::ShardRouter(const RouterOptions& options)
   for (const ShardSpec& spec : options_.shards) {
     auto state = std::make_unique<ShardState>();
     state->spec = spec;
+    state->forwarded_metric =
+        "shard.forwarded." + std::to_string(shards_.size());
     shards_.push_back(std::move(state));
   }
   obs::SetGauge("shard.count", static_cast<double>(shards_.size()));

@@ -101,6 +101,7 @@ class ShardRouter {
     std::mutex control_mu;
     LineClient control;  // guarded by control_mu; never selects a session
     std::atomic<int64_t> down_until_ms{0};
+    std::string forwarded_metric;  // "shard.forwarded.<index>"
   };
 
   static LineServerOptions TransportOptions(const RouterOptions& options);
@@ -113,7 +114,7 @@ class ShardRouter {
 
 /// `rescq route --shards N`: N self-contained serve instances (each its
 /// own engine, registry, and ephemeral port) inside the router process.
-/// Also the harness the router tests and bench_shard use.
+/// Also the harness the router tests and bench_server use.
 class InProcessShards {
  public:
   InProcessShards() = default;

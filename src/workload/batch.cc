@@ -10,6 +10,7 @@
 #include "complexity/catalog.h"
 #include "cq/parser.h"
 #include "resilience/engine.h"
+#include "resilience/exact_solver.h"
 #include "resilience/solver.h"
 #include "util/fnv.h"
 #include "util/parallel.h"
@@ -101,7 +102,7 @@ BatchCell RunCell(const BatchJob& job, const BatchOptions& opts,
 
   if (opts.check_oracle && !cell.budget_exceeded &&
       cell.tuples <= opts.oracle_cutoff) {
-    ResilienceResult oracle = ComputeResilienceReference(q, db);
+    ResilienceResult oracle = ComputeResilienceExact(q, db);
     cell.oracle_checked = true;
     cell.oracle_resilience = oracle.unbreakable ? -1 : oracle.resilience;
     cell.oracle_match = oracle.unbreakable == r.unbreakable &&

@@ -38,7 +38,7 @@ struct BatchPlan {
 /// Engine knobs, settable from flags or a plan file.
 struct BatchOptions {
   int threads = 1;
-  bool check_oracle = false;  // cross-check ComputeResilienceReference
+  bool check_oracle = false;  // cross-check ComputeResilienceExact
   int oracle_cutoff = 80;     // skip the oracle above this many tuples
   bool memoize = true;        // reuse (query, db-fingerprint) results
   /// Witness budget per exact component solve (0 = unlimited); exceeding

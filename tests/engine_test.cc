@@ -1,5 +1,5 @@
 // ResilienceEngine: plan-once/solve-many API, the solver registry, and
-// the plan cache — including the engine-vs-legacy equivalence sweep
+// the plan cache — including the engine-vs-exact-oracle equivalence sweep
 // over the whole paper catalog and every workload scenario.
 
 #include <gtest/gtest.h>
@@ -56,13 +56,13 @@ TEST(Registry, FallbacksAreNeverProbeSelected) {
   }
 }
 
-// --- Engine-vs-legacy equivalence sweep --------------------------------------
+// --- Engine-vs-exact-oracle equivalence sweep --------------------------------
 
 void ExpectMatchesReference(ResilienceEngine& engine, const Query& q,
                             const Database& db, const std::string& label) {
   SolveOutcome out = engine.Solve(q, db);
   ASSERT_TRUE(out.error.empty()) << label << ": " << out.error;
-  ResilienceResult oracle = ComputeResilienceReference(q, db);
+  ResilienceResult oracle = ComputeResilienceExact(q, db);
   ASSERT_EQ(out.result.unbreakable, oracle.unbreakable) << label;
   if (oracle.unbreakable) return;
   EXPECT_EQ(out.result.resilience, oracle.resilience)
@@ -128,7 +128,7 @@ TEST(Engine, DisconnectedQueryTakesComponentMinimum) {
   EXPECT_FALSE(out.result.unbreakable);
   EXPECT_EQ(out.result.resilience, 1);
   EXPECT_EQ(out.result.resilience,
-            ComputeResilienceReference(q, db).resilience);
+            ComputeResilienceExact(q, db).resilience);
 }
 
 // --- Plan cache --------------------------------------------------------------
@@ -198,9 +198,13 @@ TEST(Engine, ForceExactRunsTheReferenceSolver) {
   Database db = GenerateDominationHeavy({6, 0.5, 1});
   SolveOutcome out = engine.Solve(q, db);
   EXPECT_EQ(out.result.solver, SolverKind::kExact);
-  ResilienceResult oracle = ComputeResilienceReference(q, db);
+  // force_exact is ComputeResilienceExact under another name: same
+  // value, same contingency set, same solver label.
+  ResilienceResult oracle = ComputeResilienceExact(q, db);
   EXPECT_EQ(out.result.unbreakable, oracle.unbreakable);
   EXPECT_EQ(out.result.resilience, oracle.resilience);
+  EXPECT_EQ(out.result.contingency, oracle.contingency);
+  EXPECT_EQ(out.result.solver, oracle.solver);
 }
 
 TEST(Engine, WitnessBudgetSurfacesAsStructuredError) {
@@ -263,7 +267,7 @@ TEST(Engine, NodeBudgetReturnsVerifiedUpperBound) {
   Database db = GenerateChain({8, 0.5, 3});
   SolveOutcome out = engine.Solve(q, db);
   EXPECT_TRUE(out.error.empty());
-  ResilienceResult oracle = ComputeResilienceReference(q, db);
+  ResilienceResult oracle = ComputeResilienceExact(q, db);
   if (!oracle.unbreakable && oracle.resilience > 0) {
     EXPECT_GE(out.result.resilience, oracle.resilience);
     EXPECT_TRUE(VerifyContingency(q, db, out.result.contingency));
@@ -352,7 +356,7 @@ TEST(Engine, AllowFallbackGatesTheExactFallback) {
   EXPECT_TRUE(out.error.empty());
   EXPECT_EQ(out.result.solver, SolverKind::kExactFallback);
   EXPECT_EQ(out.result.resilience,
-            ComputeResilienceReference(q, db).resilience);
+            ComputeResilienceExact(q, db).resilience);
   ASSERT_FALSE(out.fallback_reasons.empty());
 }
 
@@ -384,7 +388,7 @@ void StressConcurrentSolves(EngineOptions options) {
     Case c;
     c.q = MustParseQuery(text);
     c.db = GenerateUniform(c.q, {4, 0.5, 7});
-    ResilienceResult reference = ComputeResilienceReference(c.q, c.db);
+    ResilienceResult reference = ComputeResilienceExact(c.q, c.db);
     c.unbreakable = reference.unbreakable;
     c.resilience = reference.resilience;
     cases.push_back(std::move(c));

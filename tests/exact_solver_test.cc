@@ -15,41 +15,47 @@ namespace rescq {
 namespace {
 
 TEST(HittingSet, EmptyFamily) {
-  EXPECT_EQ(SolveMinHittingSet({}).size, 0);
+  EXPECT_EQ(SolveMinHittingSet(HittingSetFamily{}).size, 0);
 }
 
 TEST(HittingSet, SingletonsForced) {
-  HittingSetResult r = SolveMinHittingSet({{3}, {5}, {3, 5, 7}});
+  HittingSetResult r =
+      SolveMinHittingSet(HittingSetFamily::From({{3}, {5}, {3, 5, 7}}));
   EXPECT_EQ(r.size, 2);
   EXPECT_EQ(r.chosen, (std::vector<int>{3, 5}));
 }
 
 TEST(HittingSet, DisjointSetsNeedOneEach) {
-  HittingSetResult r = SolveMinHittingSet({{0, 1}, {2, 3}, {4, 5}});
+  HittingSetResult r =
+      SolveMinHittingSet(HittingSetFamily::From({{0, 1}, {2, 3}, {4, 5}}));
   EXPECT_EQ(r.size, 3);
 }
 
 TEST(HittingSet, SharedElementCoversAll) {
-  HittingSetResult r = SolveMinHittingSet({{0, 9}, {1, 9}, {2, 9}});
+  HittingSetResult r =
+      SolveMinHittingSet(HittingSetFamily::From({{0, 9}, {1, 9}, {2, 9}}));
   EXPECT_EQ(r.size, 1);
   EXPECT_EQ(r.chosen, (std::vector<int>{9}));
 }
 
 TEST(HittingSet, SupersetsIgnored) {
-  HittingSetResult r = SolveMinHittingSet({{0, 1}, {0, 1, 2, 3}});
+  HittingSetResult r =
+      SolveMinHittingSet(HittingSetFamily::From({{0, 1}, {0, 1, 2, 3}}));
   EXPECT_EQ(r.size, 1);
 }
 
 TEST(HittingSet, TriangleVertexCover) {
   // Sets = edges of a triangle: minimum VC is 2.
-  HittingSetResult r = SolveMinHittingSet({{0, 1}, {1, 2}, {2, 0}});
+  HittingSetResult r =
+      SolveMinHittingSet(HittingSetFamily::From({{0, 1}, {1, 2}, {2, 0}}));
   EXPECT_EQ(r.size, 2);
 }
 
 TEST(HittingSet, C5VertexCover) {
   // 5-cycle: VC = 3.
   HittingSetResult r =
-      SolveMinHittingSet({{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
+      SolveMinHittingSet(HittingSetFamily::From(
+          {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}));
   EXPECT_EQ(r.size, 3);
 }
 
@@ -59,7 +65,7 @@ TEST(HittingSet, PetersenGraphVertexCover) {
       {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0},   // outer cycle
       {5, 7}, {7, 9}, {9, 6}, {6, 8}, {8, 5},   // inner pentagram
       {0, 5}, {1, 6}, {2, 7}, {3, 8}, {4, 9}};  // spokes
-  EXPECT_EQ(SolveMinHittingSet(edges).size, 6);
+  EXPECT_EQ(SolveMinHittingSet(HittingSetFamily::From(edges)).size, 6);
 }
 
 bool HitsEverySet(const std::vector<std::vector<int>>& sets,
@@ -87,7 +93,7 @@ TEST(HittingSet, ChosenElementsHitEverySet) {
       }
       sets.push_back(set);
     }
-    HittingSetResult r = SolveMinHittingSet(sets);
+    HittingSetResult r = SolveMinHittingSet(HittingSetFamily::From(sets));
     EXPECT_TRUE(HitsEverySet(sets, r.chosen));
   }
 }
@@ -164,7 +170,9 @@ TEST(HittingSet, MatchesBruteForceOnDenseGraphs) {
       for (int trial = 0; trial < 2; ++trial) {
         std::vector<std::vector<int>> sets = DenseGraphFamily(n, p, rng);
         ExactStats stats;
-        HittingSetResult r = SolveMinHittingSet(sets, ExactOptions{}, &stats);
+        HittingSetResult r =
+            SolveMinHittingSet(HittingSetFamily::From(sets),
+                               ExactOptions{}, &stats);
         EXPECT_TRUE(r.proven_optimal);
         EXPECT_EQ(r.size, BruteForceHittingSet(sets, n))
             << "n=" << n << " p=0." << p << " trial " << trial;
@@ -187,7 +195,8 @@ TEST(HittingSet, BudgetedDenseGraphsKeepAFeasibleCover) {
       ExactOptions options;
       options.node_budget = 5;
       ExactStats stats;
-      HittingSetResult r = SolveMinHittingSet(sets, options, &stats);
+      HittingSetResult r =
+          SolveMinHittingSet(HittingSetFamily::From(sets), options, &stats);
       EXPECT_TRUE(HitsEverySet(sets, r.chosen))
           << "n=" << n << " p=0." << p;
       EXPECT_EQ(r.size, static_cast<int>(r.chosen.size()));
@@ -280,7 +289,7 @@ TEST(HittingSet, MatchesBruteForceOnRandomInstances) {
       }
       sets.push_back(set);
     }
-    EXPECT_EQ(SolveMinHittingSet(sets).size,
+    EXPECT_EQ(SolveMinHittingSet(HittingSetFamily::From(sets)).size,
               BruteForceHittingSet(sets, universe))
         << "trial " << trial;
   }
@@ -304,7 +313,9 @@ TEST(HittingSet, MatchesBruteForceWithMixedSetSizes) {
       sets.push_back(set);
     }
     ExactStats stats;
-    HittingSetResult r = SolveMinHittingSet(sets, ExactOptions{}, &stats);
+    HittingSetResult r =
+        SolveMinHittingSet(HittingSetFamily::From(sets),
+                           ExactOptions{}, &stats);
     EXPECT_TRUE(r.proven_optimal);
     EXPECT_EQ(r.size, BruteForceHittingSet(sets, universe))
         << "trial " << trial;
@@ -323,7 +334,8 @@ TEST(HittingSet, DisjointComponentsAreSolvedIndependently) {
     sets.push_back({base + 2, base});
   }
   ExactStats stats;
-  HittingSetResult r = SolveMinHittingSet(sets, ExactOptions{}, &stats);
+  HittingSetResult r =
+      SolveMinHittingSet(HittingSetFamily::From(sets), ExactOptions{}, &stats);
   EXPECT_EQ(r.size, 6);
   EXPECT_EQ(stats.components, 3);
 }
@@ -332,7 +344,8 @@ TEST(HittingSet, DominatedElementsNeverNeeded) {
   // Element 9 appears only where 0 also appears: a q_vc-style private
   // element. The optimum never uses it.
   HittingSetResult r =
-      SolveMinHittingSet({{0, 9, 1}, {0, 9, 2}, {1, 3}, {2, 3}});
+      SolveMinHittingSet(HittingSetFamily::From(
+          {{0, 9, 1}, {0, 9, 2}, {1, 3}, {2, 3}}));
   EXPECT_EQ(r.size, 2);
   EXPECT_TRUE(std::find(r.chosen.begin(), r.chosen.end(), 9) ==
               r.chosen.end());
@@ -354,11 +367,12 @@ TEST(HittingSet, NodeBudgetReturnsFeasibleIncumbent) {
   ExactOptions options;
   options.node_budget = 1;
   ExactStats stats;
-  HittingSetResult r = SolveMinHittingSet(sets, options, &stats);
+  HittingSetResult r =
+      SolveMinHittingSet(HittingSetFamily::From(sets), options, &stats);
   EXPECT_TRUE(stats.node_budget_exceeded || r.proven_optimal);
   EXPECT_TRUE(HitsEverySet(sets, r.chosen));
   // An unlimited run can only be at least as good.
-  HittingSetResult full = SolveMinHittingSet(sets);
+  HittingSetResult full = SolveMinHittingSet(HittingSetFamily::From(sets));
   EXPECT_LE(full.size, r.size);
   EXPECT_TRUE(full.proven_optimal);
 }

@@ -77,6 +77,7 @@ Database RandomDatabase(const Query& q, int domain, int tuples, Rng& rng) {
 }
 
 TEST(Fuzz, RandomQueriesSurviveTheFullPipeline) {
+  ResilienceEngine engine;
   Rng rng(0xD1CE);
   int ptime_seen = 0, hard_seen = 0;
   for (int round = 0; round < 200; ++round) {
@@ -88,7 +89,7 @@ TEST(Fuzz, RandomQueriesSurviveTheFullPipeline) {
     if (c.complexity == Complexity::kNpComplete) ++hard_seen;
 
     Database db = RandomDatabase(q, 4, 7, rng);
-    ResilienceResult fast = ComputeResilience(q, db);
+    ResilienceResult fast = engine.Solve(q, db).result;
     ResilienceResult exact = ComputeResilienceExact(q, db);
     ASSERT_EQ(fast.unbreakable, exact.unbreakable)
         << q.ToString() << " round " << round;
@@ -173,6 +174,7 @@ int ReferenceHittingSet(const std::vector<std::vector<int>>& sets,
 }
 
 TEST(Fuzz, CatalogWideExactDifferentialSweep) {
+  ResilienceEngine engine;
   // Every named query of the paper, over random uniform instances:
   //  - the overhauled exact solver (streaming witnesses, domination,
   //    components, flow bounds) must agree with the bound-free
@@ -209,7 +211,7 @@ TEST(Fuzz, CatalogWideExactDifferentialSweep) {
       ASSERT_EQ(exact.resilience, reference)
           << entry.name << " trial " << trial;
 
-      ResilienceResult fast = ComputeResilience(q, db);
+      ResilienceResult fast = engine.Solve(q, db).result;
       ASSERT_EQ(fast.unbreakable, exact.unbreakable) << entry.name;
       ASSERT_EQ(fast.resilience, exact.resilience)
           << entry.name << " via " << SolverKindName(fast.solver);
@@ -251,11 +253,10 @@ TEST(Fuzz, SpanFamilyMatchesLegacyEnumerationAcrossTheCatalog) {
   }
 }
 
-TEST(Fuzz, SpanAndVectorSolverAreIdenticalDownToTheCounters) {
-  // The vector SolveMinHittingSet overload is a thin wrapper over the
-  // span-native core; this sweep pins that they stay one algorithm —
-  // same answer, same chosen set, same node/prune counters — on random
-  // multi-set instances including duplicates and supersets.
+TEST(Fuzz, SolverMatchesReferenceWithDuplicatesAndSupersets) {
+  // Random multi-set families where duplicate sets (and, at random
+  // arities, supersets) are common: the solver's dedup / superset /
+  // domination reduction must never change the optimum.
   Rng rng(0x5BA2F00D);
   for (int round = 0; round < 40; ++round) {
     std::vector<std::vector<int>> sets;
@@ -272,23 +273,10 @@ TEST(Fuzz, SpanAndVectorSolverAreIdenticalDownToTheCounters) {
       sets.push_back(set);
       if (rng.Chance(1, 5)) sets.push_back(sets.back());  // duplicate
     }
-    ExactOptions options;
-    ExactStats vec_stats, span_stats;
-    HittingSetResult vec = SolveMinHittingSet(sets, options, &vec_stats);
-    ASSERT_EQ(vec.size, ReferenceHittingSet(sets, num_elements))
+    HittingSetResult r = SolveMinHittingSet(HittingSetFamily::From(sets));
+    ASSERT_EQ(r.size, ReferenceHittingSet(sets, num_elements))
         << "round " << round;
-    HittingSetResult spn =
-        SolveMinHittingSet(HittingSetFamily::From(sets), options, &span_stats);
-    ASSERT_EQ(spn.size, vec.size) << "round " << round;
-    ASSERT_EQ(spn.chosen, vec.chosen) << "round " << round;
-    ASSERT_EQ(spn.proven_optimal, vec.proven_optimal) << "round " << round;
-    ASSERT_EQ(span_stats.nodes, vec_stats.nodes) << "round " << round;
-    ASSERT_EQ(span_stats.components, vec_stats.components)
-        << "round " << round;
-    ASSERT_EQ(span_stats.packing_prunes, vec_stats.packing_prunes)
-        << "round " << round;
-    ASSERT_EQ(span_stats.flow_prunes, vec_stats.flow_prunes)
-        << "round " << round;
+    ASSERT_TRUE(r.proven_optimal) << "round " << round;
   }
 }
 
@@ -317,13 +305,14 @@ TEST(Fuzz, ParallelExactDifferentialSweep) {
       }
     }
     int reference = ReferenceHittingSet(sets, num_elements);
-    HittingSetResult serial = SolveMinHittingSet(sets);
+    HittingSetResult serial = SolveMinHittingSet(HittingSetFamily::From(sets));
     ASSERT_EQ(serial.size, reference) << "round " << round;
     for (int threads : {2, 4}) {
       ExactOptions options;
       options.solver_threads = threads;
       ExactStats stats;
-      HittingSetResult parallel = SolveMinHittingSet(sets, options, &stats);
+      HittingSetResult parallel =
+          SolveMinHittingSet(HittingSetFamily::From(sets), options, &stats);
       ASSERT_EQ(parallel.size, reference)
           << "round " << round << " threads " << threads;
       ASSERT_TRUE(parallel.proven_optimal)
@@ -410,7 +399,7 @@ TEST(Fuzz, BudgetedEngineNeverMisreports) {
       continue;
     }
     ++answers_seen;
-    ResilienceResult oracle = ComputeResilienceReference(q, db);
+    ResilienceResult oracle = ComputeResilienceExact(q, db);
     ASSERT_EQ(out.result.unbreakable, oracle.unbreakable)
         << q.ToString() << " round " << round;
     if (!oracle.unbreakable) {

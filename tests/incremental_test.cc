@@ -364,8 +364,8 @@ TEST(IncrementalSession, InsertThenDeleteOfOneFactIsInvariant) {
   Query q = MustParseQuery("R(x,y), R(y,z)");
   Database db;
   std::string error;
-  ASSERT_TRUE(LoadTupleFile("data/section2_chain.tuples", &db, &error) ||
-              LoadTupleFile("../data/section2_chain.tuples", &db, &error))
+  ASSERT_TRUE(LoadTupleFile(RESCQ_SOURCE_DIR "/data/section2_chain.tuples",
+                            &db, &error))
       << error;
   IncrementalSession session(q, db, EngineOptions{});
   const EpochOutcome before = session.current();

@@ -9,6 +9,7 @@
 #include "cq/parser.h"
 #include "db/witness.h"
 #include "resilience/conf3_solver.h"
+#include "resilience/engine.h"
 #include "resilience/exact_solver.h"
 #include "resilience/linear_flow_solver.h"
 #include "resilience/rep_solver.h"
@@ -212,11 +213,12 @@ TEST(LinearFlow, SharedMiddleValueForcesBottleneckCut) {
 }
 
 TEST(LinearFlow, DispatchedSolverHandlesLargeInstancesFast) {
+  ResilienceEngine engine;
   // 2000 tuples per relation: far beyond the exact oracle's comfort zone.
   Query q = MustParseQuery("A(x), R(x,y), R(z,y), C(z)");
   Rng rng(1234);
   Database db = RandomDatabase(q, 60, 2000, rng);
-  ResilienceResult r = ComputeResilience(q, db);
+  ResilienceResult r = engine.Solve(q, db).result;
   EXPECT_FALSE(r.unbreakable);
   EXPECT_TRUE(VerifyContingency(q, db, r.contingency));
   EXPECT_EQ(SolverKindName(r.solver),

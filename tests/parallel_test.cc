@@ -110,13 +110,15 @@ void ExpectThreadInvariantHittingSet(const std::vector<std::vector<int>>& sets,
                                      const std::string& label) {
   ExactStats serial_stats;
   HittingSetResult serial =
-      SolveMinHittingSet(sets, ExactOptions{}, &serial_stats);
+      SolveMinHittingSet(HittingSetFamily::From(sets),
+                         ExactOptions{}, &serial_stats);
   EXPECT_TRUE(serial.proven_optimal) << label;
   for (int threads : {2, 4}) {
     ExactOptions options;
     options.solver_threads = threads;
     ExactStats stats;
-    HittingSetResult out = SolveMinHittingSet(sets, options, &stats);
+    HittingSetResult out =
+        SolveMinHittingSet(HittingSetFamily::From(sets), options, &stats);
     ASSERT_EQ(out.size, serial.size) << label << " threads " << threads;
     ASSERT_EQ(static_cast<int>(out.chosen.size()), out.size)
         << label << " threads " << threads;
@@ -155,7 +157,8 @@ TEST(ComponentParallel, ManyEqualComponentsStayExact) {
     sets.push_back({a, b, d});
   }
   ExactStats stats;
-  HittingSetResult serial = SolveMinHittingSet(sets, ExactOptions{}, &stats);
+  HittingSetResult serial =
+      SolveMinHittingSet(HittingSetFamily::From(sets), ExactOptions{}, &stats);
   EXPECT_EQ(serial.size, 12 * 2 + 8 * 1);
   EXPECT_EQ(stats.components, 20);
   ExpectThreadInvariantHittingSet(sets, "equal components");
@@ -214,14 +217,15 @@ std::vector<std::vector<int>> HardMultiComponentFamily() {
 
 TEST(NodeBudget, TrippingMidFlightKeepsAFeasibleIncumbent) {
   std::vector<std::vector<int>> sets = HardMultiComponentFamily();
-  HittingSetResult optimal = SolveMinHittingSet(sets);
+  HittingSetResult optimal = SolveMinHittingSet(HittingSetFamily::From(sets));
   ASSERT_TRUE(optimal.proven_optimal);
   for (int threads : {1, 2, 4}) {
     ExactOptions options;
     options.solver_threads = threads;
     options.node_budget = 4;  // trips inside the first components' searches
     ExactStats stats;
-    HittingSetResult out = SolveMinHittingSet(sets, options, &stats);
+    HittingSetResult out =
+        SolveMinHittingSet(HittingSetFamily::From(sets), options, &stats);
     EXPECT_TRUE(stats.node_budget_exceeded) << "threads " << threads;
     EXPECT_FALSE(out.proven_optimal) << "threads " << threads;
     // The incumbent is still a real hitting set (the greedy seeds run
@@ -240,12 +244,13 @@ TEST(NodeBudget, TrippingMidFlightKeepsAFeasibleIncumbent) {
 
 TEST(NodeBudget, GenerousBudgetIsNeverTrippedInParallel) {
   std::vector<std::vector<int>> sets = HardMultiComponentFamily();
-  HittingSetResult optimal = SolveMinHittingSet(sets);
+  HittingSetResult optimal = SolveMinHittingSet(HittingSetFamily::From(sets));
   ExactOptions options;
   options.solver_threads = 4;
   options.node_budget = 1u << 20;
   ExactStats stats;
-  HittingSetResult out = SolveMinHittingSet(sets, options, &stats);
+  HittingSetResult out =
+      SolveMinHittingSet(HittingSetFamily::From(sets), options, &stats);
   EXPECT_FALSE(stats.node_budget_exceeded);
   EXPECT_TRUE(out.proven_optimal);
   EXPECT_EQ(out.size, optimal.size);

@@ -4,6 +4,7 @@
 #include "cq/parser.h"
 #include "db/database.h"
 #include "db/witness.h"
+#include "resilience/engine.h"
 #include "resilience/exact_solver.h"
 #include "resilience/linear_flow_solver.h"
 #include "resilience/perm3_solver.h"
@@ -42,6 +43,7 @@ Database RandomDatabase(const Query& q, int domain, int tuples_per_relation,
 class PTimeSolverAgreement : public ::testing::TestWithParam<CatalogEntry> {};
 
 TEST_P(PTimeSolverAgreement, MatchesExactOracleOnRandomDatabases) {
+  ResilienceEngine engine;
   const CatalogEntry& entry = GetParam();
   Query q = MustParseQuery(entry.text);
   Rng rng(0xC0FFEE ^ std::hash<std::string>()(entry.name));
@@ -49,7 +51,7 @@ TEST_P(PTimeSolverAgreement, MatchesExactOracleOnRandomDatabases) {
     int domain = 3 + static_cast<int>(rng.Below(4));
     int tuples = 4 + static_cast<int>(rng.Below(10));
     Database db = RandomDatabase(q, domain, tuples, rng);
-    ResilienceResult fast = ComputeResilience(q, db);
+    ResilienceResult fast = engine.Solve(q, db).result;
     ResilienceResult exact = ComputeResilienceExact(q, db);
     ASSERT_EQ(fast.unbreakable, exact.unbreakable)
         << entry.name << " trial " << trial;
@@ -82,12 +84,13 @@ INSTANTIATE_TEST_SUITE_P(
 class HardSolverAgreement : public ::testing::TestWithParam<CatalogEntry> {};
 
 TEST_P(HardSolverAgreement, ExactPathIsUsedAndVerifies) {
+  ResilienceEngine engine;
   const CatalogEntry& entry = GetParam();
   Query q = MustParseQuery(entry.text);
   Rng rng(0xBEEF ^ std::hash<std::string>()(entry.name));
   for (int trial = 0; trial < 8; ++trial) {
     Database db = RandomDatabase(q, 4, 8, rng);
-    ResilienceResult r = ComputeResilience(q, db);
+    ResilienceResult r = engine.Solve(q, db).result;
     if (r.unbreakable) continue;
     EXPECT_TRUE(VerifyContingency(q, db, r.contingency))
         << entry.name << " trial " << trial;
@@ -122,6 +125,7 @@ struct KindCase {
 class DispatcherKind : public ::testing::TestWithParam<KindCase> {};
 
 TEST_P(DispatcherKind, UsesExpectedAlgorithm) {
+  ResilienceEngine engine;
   const KindCase& kc = GetParam();
   Query q = CatalogQuery(kc.query_name);
   Rng rng(17);
@@ -129,7 +133,7 @@ TEST_P(DispatcherKind, UsesExpectedAlgorithm) {
   for (int trial = 0; trial < 50; ++trial) {
     Database db = RandomDatabase(q, 4, 12, rng);
     if (!QueryHolds(q, db)) continue;
-    ResilienceResult r = ComputeResilience(q, db);
+    ResilienceResult r = engine.Solve(q, db).result;
     if (r.unbreakable || r.resilience == 0) continue;
     EXPECT_EQ(SolverKindName(r.solver), SolverKindName(kc.kind))
         << kc.query_name;
@@ -358,6 +362,7 @@ TEST(Perm3, BinaryLMayPreferOneWayTuple) {
 }
 
 TEST(Dispatcher, DisconnectedQueryTakesMinimumOverComponents) {
+  ResilienceEngine engine;
   // Component 1: A(x),R(x,y) with 3 witnesses; component 2: B(w) with 1
   // tuple. Minimum is the B side.
   Database db;
@@ -368,21 +373,23 @@ TEST(Dispatcher, DisconnectedQueryTakesMinimumOverComponents) {
   db.AddTuple("R", {v("a2"), v("b")});
   TupleId bw = db.AddTuple("B", {v("w")});
   Query q = MustParseQuery("A(x), R(x,y), B(w)");
-  ResilienceResult r = ComputeResilience(q, db);
+  ResilienceResult r = engine.Solve(q, db).result;
   EXPECT_EQ(r.resilience, 1);
   EXPECT_EQ(r.contingency, (std::vector<TupleId>{bw}));
 }
 
 TEST(Dispatcher, QueryFalseIsZero) {
+  ResilienceEngine engine;
   Database db;
   db.AddTuple("R", {db.Intern("a"), db.Intern("b")});
   Query q = MustParseQuery("R(x,y), R(y,z)");
-  ResilienceResult r = ComputeResilience(q, db);
+  ResilienceResult r = engine.Solve(q, db).result;
   EXPECT_EQ(r.resilience, 0);
   EXPECT_FALSE(r.unbreakable);
 }
 
 TEST(Dispatcher, Example11EndToEnd) {
+  ResilienceEngine engine;
   // The Section 3.2 example through the dispatcher (exact path: the query
   // has a triad).
   Database db;
@@ -395,19 +402,20 @@ TEST(Dispatcher, Example11EndToEnd) {
   db.AddTuple("R", {v("5"), v("1")});
   db.AddTuple("R", {v("2"), v("5")});
   Query q = MustParseQuery("A(x), R(x,y), R(y,z), R(z,x)");
-  ResilienceResult r = ComputeResilience(q, db);
+  ResilienceResult r = engine.Solve(q, db).result;
   EXPECT_EQ(r.resilience, 1);
   EXPECT_EQ(SolverKindName(r.solver), SolverKindName(SolverKind::kExact));
 }
 
 TEST(Dispatcher, DominationNormalizationPreservesValue) {
+  ResilienceEngine engine;
   // Example 17 q2: A dominates R and S; answers must match the exact
   // solver on the raw query.
   Query q = MustParseQuery("R(x,y), A(y), R(z,y), S(y,z)");
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     Database db = RandomDatabase(q, 4, 8, rng);
-    ResilienceResult fast = ComputeResilience(q, db);
+    ResilienceResult fast = engine.Solve(q, db).result;
     ResilienceResult exact = ComputeResilienceExact(q, db);
     ASSERT_EQ(fast.unbreakable, exact.unbreakable);
     if (!exact.unbreakable) {
@@ -417,12 +425,13 @@ TEST(Dispatcher, DominationNormalizationPreservesValue) {
 }
 
 TEST(Dispatcher, MinimizationPreservesValue) {
+  ResilienceEngine engine;
   // Example 22's non-minimal query is equivalent to R(x,y).
   Query q = MustParseQuery("R(x,y), R(z,y), R(z,w), R(x,w)");
   Rng rng(123);
   for (int trial = 0; trial < 10; ++trial) {
     Database db = RandomDatabase(q, 4, 6, rng);
-    ResilienceResult fast = ComputeResilience(q, db);
+    ResilienceResult fast = engine.Solve(q, db).result;
     ResilienceResult exact = ComputeResilienceExact(q, db);
     EXPECT_EQ(fast.resilience, exact.resilience) << "trial " << trial;
   }
@@ -444,6 +453,7 @@ TEST(VerifyContingency, RestoresDatabaseWithDuplicateTupleIds) {
 }
 
 TEST(Dispatcher, PseudoLinearSjFreeFallsBackExactly) {
+  ResilienceEngine engine;
   // q_rats is PTIME but cyclic in the hypergraph (not linear), so the
   // dispatcher falls back to the exact solver with the fallback label.
   Query q = CatalogQuery("q_rats");
@@ -451,7 +461,7 @@ TEST(Dispatcher, PseudoLinearSjFreeFallsBackExactly) {
   for (int trial = 0; trial < 30; ++trial) {
     Database db = RandomDatabase(q, 4, 10, rng);
     if (!QueryHolds(q, db)) continue;
-    ResilienceResult r = ComputeResilience(q, db);
+    ResilienceResult r = engine.Solve(q, db).result;
     if (r.unbreakable || r.resilience == 0) continue;
     EXPECT_EQ(SolverKindName(r.solver),
               SolverKindName(SolverKind::kExactFallback));
