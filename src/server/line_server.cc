@@ -1,14 +1,17 @@
 #include "server/line_server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <utility>
+#include <thread>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 
@@ -23,7 +26,7 @@ constexpr size_t kMaxLineBytes = 64 * 1024;
 /// send() the whole buffer, riding out EINTR and partial writes.
 /// MSG_NOSIGNAL: a client that hung up mid-reply costs us an EPIPE
 /// errno, never a SIGPIPE.
-bool SendAll(int fd, const std::string& data) {
+bool SendAll(int fd, std::string_view data) {
   size_t sent = 0;
   while (sent < data.size()) {
     ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
@@ -37,20 +40,43 @@ bool SendAll(int fd, const std::string& data) {
   return true;
 }
 
+bool Watch(int epoll_fd, int fd, uint32_t events, void* tag) {
+  epoll_event event{};
+  event.events = events;
+  event.data.ptr = tag;
+  return ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) == 0;
+}
+
 }  // namespace
 
-LineServer::LineServer(const LineServerOptions& options,
-                       HandlerFactory factory)
-    : options_(options), factory_(std::move(factory)) {}
+struct LineServer::Connection {
+  ~Connection() { ::close(fd); }
+  int fd = -1;
+  std::unique_ptr<LineConnectionHandler> handler;
+  std::string buffer;  // received bytes not yet framed into a line
+};
+
+struct LineServer::Loop {
+  ~Loop() {
+    if (epoll_fd >= 0) ::close(epoll_fd);
+  }
+  int epoll_fd = -1;
+  std::unordered_map<int, std::unique_ptr<Connection>> connections;
+  std::thread thread;
+};
+
+LineServer::LineServer(const LineServerOptions& options) : options_(options) {}
 
 LineServer::~LineServer() { Stop(); }
 
 bool LineServer::Start(std::string* error) {
-  if (::pipe(wake_fds_) != 0) {
+  // The read end is level-triggered in every loop's set and never
+  // drained: once written, it wakes every loop on every wait.
+  if (::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
     *error = std::string("pipe: ") + std::strerror(errno);
     return false;
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     *error = std::string("socket: ") + std::strerror(errno);
     return false;
@@ -84,124 +110,92 @@ bool LineServer::Start(std::string* error) {
   }
   port_ = ntohs(addr.sin_port);
 
-  int threads = options_.threads < 1 ? 1 : options_.threads;
-  pool_ = std::make_unique<WorkerPool>(threads);
-  // The pool's Run blocks its caller as the last worker, so a dedicated
-  // host thread lends itself to the pool; every pool slot runs one
-  // HandlerLoop until stop.
-  pool_host_ = std::thread([this, threads] {
-    pool_->Run(static_cast<size_t>(threads),
-               [this](size_t) { HandlerLoop(); });
-  });
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  started_ = true;
+  const int threads = std::max(1, options_.threads);
+  for (int i = 0; i < threads; ++i) {
+    auto loop = std::make_unique<Loop>();
+    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    // EPOLLEXCLUSIVE: a new connection wakes one waiting loop, not all.
+    if (loop->epoll_fd < 0 ||
+        !Watch(loop->epoll_fd, listen_fd_, EPOLLIN | EPOLLEXCLUSIVE,
+               &listen_fd_) ||
+        !Watch(loop->epoll_fd, wake_fds_[0], EPOLLIN, wake_fds_)) {
+      *error = std::string("epoll: ") + std::strerror(errno);
+      return false;
+    }
+    loops_.push_back(std::move(loop));
+  }
+  for (std::unique_ptr<Loop>& loop : loops_) {
+    loop->thread = std::thread([this, l = loop.get()] { Run(l); });
+  }
   return true;
 }
 
-void LineServer::AcceptLoop() {
+void LineServer::Run(Loop* loop) {
+  epoll_event events[64];
   for (;;) {
-    pollfd fds[2];
-    fds[0].fd = listen_fd_;
-    fds[0].events = POLLIN;
-    fds[1].fd = wake_fds_[0];
-    fds[1].events = POLLIN;
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) {
-      // A SignalStop (pipe write from a signal handler) or RequestStop
-      // woke us: escalate to the full stop from normal thread context.
-      RequestStop();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stop_) break;
-    }
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    obs::Count(options_.connections_metric.c_str());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stop_) {
-        ::close(fd);
-        break;
+    int n = ::epoll_wait(loop->epoll_fd, events, 64, -1);
+    if (n < 0 && errno != EINTR) return;
+    for (int i = 0; i < n; ++i) {
+      void* tag = events[i].data.ptr;
+      if (tag == wake_fds_) return;
+      if (tag == &listen_fd_) {
+        Accept();
+        continue;
       }
-      pending_fds_.push_back(fd);
+      auto* connection = static_cast<Connection*>(tag);
+      if (!Serve(connection)) {
+        const int fd = connection->fd;
+        std::lock_guard<std::mutex> lock(mu_);
+        loop->connections.erase(fd);  // closes the fd
+      }
     }
-    queue_cv_.notify_one();
   }
 }
 
-void LineServer::HandlerLoop() {
-  for (;;) {
-    int fd;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [this] { return stop_ || !pending_fds_.empty(); });
-      if (pending_fds_.empty()) return;  // stop, queue drained
-      fd = pending_fds_.front();
-      pending_fds_.pop_front();
-      if (stop_) {
-        ::close(fd);
-        continue;  // drain the rest, then exit
-      }
-      active_fds_.insert(fd);
-    }
-    ServeConnection(fd);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      active_fds_.erase(fd);
-    }
-    ::close(fd);
+void LineServer::Accept() {
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd < 0) return;  // another loop won it, or the peer left
+  obs::Count(options_.connections_metric.c_str());
+  auto connection = std::make_unique<Connection>();
+  connection->fd = fd;
+  connection->handler = NewHandler();
+  std::lock_guard<std::mutex> lock(mu_);
+  Loop* target = std::min_element(loops_.begin(), loops_.end(),
+                                  [](const auto& a, const auto& b) {
+                                    return a->connections.size() <
+                                           b->connections.size();
+                                  })->get();
+  // Level-triggered: bytes left unread wake the owner again, so no
+  // request ever needs a re-arm.
+  if (Watch(target->epoll_fd, fd, EPOLLIN, connection.get())) {
+    target->connections.emplace(fd, std::move(connection));
   }
 }
 
-void LineServer::ServeConnection(int fd) {
-  std::unique_ptr<LineConnectionHandler> handler = factory_();
-  std::string buffer;
+bool LineServer::Serve(Connection* connection) {
   char chunk[4096];
-  for (;;) {
-    size_t newline;
-    while ((newline = buffer.find('\n')) == std::string::npos) {
-      if (buffer.size() > kMaxLineBytes) {
-        SendAll(fd, "err bad-request request line over 64KiB\n");
-        return;
-      }
-      ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return;  // peer hung up, or RequestStop shut us down
-      buffer.append(chunk, static_cast<size_t>(n));
+  ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+  if (n < 0) return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+  if (n == 0) return false;  // peer hung up
+  std::string& buffer = connection->buffer;
+  buffer.append(chunk, static_cast<size_t>(n));
+  size_t begin = 0;
+  for (size_t newline;
+       (newline = buffer.find('\n', begin)) != std::string::npos;
+       begin = newline + 1) {
+    LineResult result = connection->handler->Handle(
+        std::string_view(buffer).substr(begin, newline - begin));
+    if (!result.response.empty() &&
+        !SendAll(connection->fd, result.response)) {
+      return false;
     }
-    std::string line = buffer.substr(0, newline);
-    buffer.erase(0, newline + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-
-    LineResult result = handler->Handle(line);
-    if (!result.response.empty() && !SendAll(fd, result.response)) return;
-    if (result.stop_server) {
-      RequestStop();
-      return;
-    }
-    if (result.close_connection) return;
+    if (result.stop_server) SignalStop();
+    if (result.close_connection || result.stop_server) return false;
   }
-}
-
-void LineServer::RequestStop() {
-  std::vector<int> to_shutdown;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-    to_shutdown.assign(active_fds_.begin(), active_fds_.end());
-  }
-  // Unblock every handler stuck in recv: the peers see a clean EOF, the
-  // loops see n <= 0. The fds stay open (their handler closes them), so
-  // shutdown never races a number reuse.
-  for (int fd : to_shutdown) ::shutdown(fd, SHUT_RDWR);
-  SignalStop();  // wake the accept poll
-  queue_cv_.notify_all();
+  buffer.erase(0, begin);
+  if (buffer.size() <= kMaxLineBytes) return true;
+  SendAll(connection->fd, "err bad-request request line over 64KiB\n");
+  return false;
 }
 
 void LineServer::SignalStop() {
@@ -213,35 +207,18 @@ void LineServer::SignalStop() {
 }
 
 void LineServer::Wait() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!started_ || joined_) return;
-    joined_ = true;
+  for (std::unique_ptr<Loop>& loop : loops_) {
+    if (loop->thread.joinable()) loop->thread.join();
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (pool_host_.joinable()) pool_host_.join();
-  pool_.reset();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
-  listen_fd_ = wake_fds_[0] = wake_fds_[1] = -1;
+  loops_.clear();  // closes every connection and epoll set
+  for (int* fd : {&listen_fd_, &wake_fds_[0], &wake_fds_[1]}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 void LineServer::Stop() {
-  bool started;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    started = started_;
-  }
-  if (!started) {
-    // Start may have half-opened fds before failing.
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-    if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
-    listen_fd_ = wake_fds_[0] = wake_fds_[1] = -1;
-    return;
-  }
-  RequestStop();
+  SignalStop();
   Wait();
 }
 

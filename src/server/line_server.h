@@ -1,18 +1,11 @@
 #ifndef RESCQ_SERVER_LINE_SERVER_H_
 #define RESCQ_SERVER_LINE_SERVER_H_
 
-#include <condition_variable>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_set>
 #include <vector>
-
-#include "util/parallel.h"
 
 namespace rescq {
 
@@ -28,9 +21,10 @@ struct LineResult {
 
 /// Per-connection request handler: the transport creates one per
 /// accepted connection (connections are stateful — the current session,
-/// the pending epoch) and calls Handle once per received line. A
-/// trailing '\r' is stripped by the transport before dispatch, so CRLF
-/// clients behave identically to LF clients.
+/// the pending epoch) and calls Handle once per received line. `line`
+/// excludes the '\n' and points into the connection's buffer, so it is
+/// valid only during the call. A trailing '\r' is left for the handler
+/// to strip, which keeps CRLF clients identical to LF clients.
 class LineConnectionHandler {
  public:
   virtual ~LineConnectionHandler() = default;
@@ -45,88 +39,77 @@ struct LineServerOptions {
   /// from port() after Start — the test and smoke harnesses depend on
   /// this).
   int port = 0;
-  /// Connection handler threads: how many connections make progress
-  /// concurrently.
+  /// Handler loops: how many requests run at once. Idle connections
+  /// hold none.
   int threads = 4;
   /// Counter bumped once per accepted connection.
   std::string connections_metric = "server.connections";
 };
 
-/// The shared line-protocol TCP transport: a listening socket, an
-/// accept thread feeding a queue of client fds, and a WorkerPool of
-/// handler loops that each drive one connection at a time — one
-/// request line in, one framed reply out, request lines capped at
-/// 64 KiB. `rescq serve` (ResilienceServer) and `rescq route`
-/// (ShardRouter) are both this transport under different
-/// LineConnectionHandlers.
+/// The shared line-protocol TCP transport: `threads` loops, each
+/// waiting on its own epoll set. The non-blocking listening socket sits
+/// in every set (EPOLLEXCLUSIVE), and an accepted connection joins the
+/// loop with the fewest connections for life. A readable connection
+/// costs its loop one recv; every complete line in the buffer goes to
+/// the connection's handler, one framed reply each, and request lines
+/// are capped at 64 KiB. `rescq serve` (ResilienceServer) and `rescq
+/// route` (ShardRouter) derive from it, each minting its own handlers.
 ///
-/// Lifecycle: Start() binds and spawns the threads; Wait() blocks until
-/// the server stops (a handler's stop_server, Stop(), or a signal
-/// relayed through SignalStop()); Stop() = RequestStop() + Wait(). The
-/// destructor stops a still-running server.
+/// Lifecycle: Start() binds and spawns the loops; Wait() blocks until
+/// the server stops (a handler's stop_server, Stop(), or SignalStop())
+/// and closes every connection; Stop() = SignalStop() + Wait(). A
+/// derived class calls Stop() in its destructor, before the state its
+/// handlers borrow goes away.
 ///
-/// Thread contract: Start once from one thread. RequestStop/SignalStop
-/// are safe from any thread and idempotent; SignalStop is additionally
-/// async-signal-safe (a single pipe write — the CLI's SIGINT/SIGTERM
-/// handler calls it, and the accept thread turns it into a full stop).
+/// Thread contract: Start, Wait and Stop from one thread. SignalStop is
+/// safe from any thread, idempotent and async-signal-safe: one write to
+/// a self-pipe that every loop watches and nobody drains.
 class LineServer {
  public:
-  /// Called once per accepted connection to make its handler.
-  using HandlerFactory =
-      std::function<std::unique_ptr<LineConnectionHandler>()>;
-
-  LineServer(const LineServerOptions& options, HandlerFactory factory);
-  ~LineServer();
+  virtual ~LineServer();
 
   LineServer(const LineServer&) = delete;
   LineServer& operator=(const LineServer&) = delete;
 
-  /// Binds, listens, and spawns the accept thread and handler pool.
-  /// False with *error on any socket failure (nothing is left running).
+  /// Binds, listens, and spawns the handler loops. False with *error
+  /// on any socket failure (nothing is left running).
   bool Start(std::string* error);
 
   /// The bound TCP port (resolves port 0 to the kernel's choice).
   /// Valid after a successful Start.
   int port() const { return port_; }
 
-  /// Begins a graceful stop: stops accepting, unblocks every in-flight
-  /// read, and lets the handler loops drain. Returns immediately.
-  void RequestStop();
-
-  /// Async-signal-safe stop request (one pipe write; the accept thread
-  /// escalates it to RequestStop).
+  /// Begins a graceful stop and returns at once: each loop finishes
+  /// the request in hand, then exits.
   void SignalStop();
 
-  /// Blocks until the server has fully stopped and joins its threads.
+  /// Blocks until every loop has exited, then closes every connection.
   void Wait();
 
-  /// RequestStop() then Wait().
+  /// SignalStop() then Wait().
   void Stop();
 
+ protected:
+  explicit LineServer(const LineServerOptions& options);
+
+  /// Makes the handler for one accepted connection; runs on a loop.
+  virtual std::unique_ptr<LineConnectionHandler> NewHandler() = 0;
+
  private:
-  void AcceptLoop();
-  void HandlerLoop();
-  void ServeConnection(int fd);
+  struct Connection;
+  struct Loop;
+
+  void Run(Loop* loop);
+  void Accept();
+  /// One recv and the lines it completes; false drops the connection.
+  bool Serve(Connection* connection);
 
   const LineServerOptions options_;
-  HandlerFactory factory_;
-
   int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  // self-pipe: signals + stop wake the accept poll
+  int wake_fds_[2] = {-1, -1};  // self-pipe: readable once stopping
   int port_ = 0;
-
-  std::thread accept_thread_;
-  std::thread pool_host_;  // runs the WorkerPool's blocking Run as its
-                           // last worker, hosting the handler loops
-  std::unique_ptr<WorkerPool> pool_;
-
-  std::mutex mu_;
-  std::deque<int> pending_fds_;          // accepted, not yet picked up
-  std::unordered_set<int> active_fds_;   // being served right now
-  bool stop_ = false;
-  bool started_ = false;
-  bool joined_ = false;
-  std::condition_variable queue_cv_;
+  std::vector<std::unique_ptr<Loop>> loops_;
+  std::mutex mu_;  // guards each Loop's connections
 };
 
 }  // namespace rescq

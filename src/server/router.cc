@@ -396,7 +396,9 @@ LineResult RouterConnection::Handle(std::string_view raw) {
   return result;
 }
 
-LineServerOptions ShardRouter::TransportOptions(const RouterOptions& options) {
+namespace {
+
+LineServerOptions TransportOptions(const RouterOptions& options) {
   LineServerOptions transport;
   transport.host = options.host;
   transport.port = options.port;
@@ -405,13 +407,13 @@ LineServerOptions ShardRouter::TransportOptions(const RouterOptions& options) {
   return transport;
 }
 
+}  // namespace
+
 ShardRouter::ShardRouter(const RouterOptions& options)
-    : options_(options),
+    : LineServer(TransportOptions(options)),
+      options_(options),
       map_(options.shards.empty() ? 1 : options.shards.size(),
-           options.vnodes),
-      transport_(TransportOptions(options), [this] {
-        return std::make_unique<RouterConnection>(this);
-      }) {
+           options.vnodes) {
   for (const ShardSpec& spec : options_.shards) {
     auto state = std::make_unique<ShardState>();
     state->spec = spec;
@@ -420,6 +422,10 @@ ShardRouter::ShardRouter(const RouterOptions& options)
     shards_.push_back(std::move(state));
   }
   obs::SetGauge("shard.count", static_cast<double>(shards_.size()));
+}
+
+std::unique_ptr<LineConnectionHandler> ShardRouter::NewHandler() {
+  return std::make_unique<RouterConnection>(this);
 }
 
 bool InProcessShards::Start(size_t count, const ServerOptions& base,

@@ -34,7 +34,7 @@ struct RouterOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 asks the kernel for an ephemeral one.
   int port = 0;
-  /// Connection handler threads.
+  /// Handler loops: how many requests run at once.
   int threads = 4;
   /// Backend shards, in ring order (the list must be identical — same
   /// order — on every router over the same fleet).
@@ -73,21 +73,11 @@ struct RouterOptions {
 /// reads; mutating verbs surface the error instead of risking a
 /// double-apply.
 ///
-/// Lifecycle mirrors ResilienceServer: Start/port/RequestStop/
-/// SignalStop (async-signal-safe)/Wait/Stop.
-class ShardRouter {
+/// Lifecycle and thread contract are LineServer's.
+class ShardRouter : public LineServer {
  public:
   explicit ShardRouter(const RouterOptions& options);
-
-  ShardRouter(const ShardRouter&) = delete;
-  ShardRouter& operator=(const ShardRouter&) = delete;
-
-  bool Start(std::string* error) { return transport_.Start(error); }
-  int port() const { return transport_.port(); }
-  void RequestStop() { transport_.RequestStop(); }
-  void SignalStop() { transport_.SignalStop(); }
-  void Wait() { transport_.Wait(); }
-  void Stop() { transport_.Stop(); }
+  ~ShardRouter() override { Stop(); }
 
   const ShardMap& shard_map() const { return map_; }
   const RouterOptions& options() const { return options_; }
@@ -104,12 +94,11 @@ class ShardRouter {
     std::string forwarded_metric;  // "shard.forwarded.<index>"
   };
 
-  static LineServerOptions TransportOptions(const RouterOptions& options);
+  std::unique_ptr<LineConnectionHandler> NewHandler() override;
 
   const RouterOptions options_;
   ShardMap map_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  LineServer transport_;
 };
 
 /// `rescq route --shards N`: N self-contained serve instances (each its

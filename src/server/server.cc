@@ -1,11 +1,10 @@
 #include "server/server.h"
 
-#include <memory>
-
 namespace rescq {
 
-LineServerOptions ResilienceServer::TransportOptions(
-    const ServerOptions& options) {
+namespace {
+
+LineServerOptions TransportOptions(const ServerOptions& options) {
   LineServerOptions transport;
   transport.host = options.host;
   transport.port = options.port;
@@ -14,14 +13,18 @@ LineServerOptions ResilienceServer::TransportOptions(
   return transport;
 }
 
+}  // namespace
+
 ResilienceServer::ResilienceServer(const ServerOptions& options,
                                    ResilienceEngine* engine)
-    : options_(options),
+    : LineServer(TransportOptions(options)),
+      options_(options),
       engine_(engine),
-      registry_(options.limits.max_sessions),
-      transport_(TransportOptions(options), [this] {
-        return std::make_unique<ProtocolHandler>(&registry_, engine_,
-                                                 &options_.limits);
-      }) {}
+      registry_(options.limits.max_sessions) {}
+
+std::unique_ptr<LineConnectionHandler> ResilienceServer::NewHandler() {
+  return std::make_unique<ProtocolHandler>(&registry_, engine_,
+                                           &options_.limits);
+}
 
 }  // namespace rescq

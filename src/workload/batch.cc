@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <unordered_map>
 
@@ -21,12 +22,14 @@ namespace rescq {
 
 namespace {
 
-/// Cache of finished cells keyed by (query text, db fingerprint). A
-/// worker that finds the key reuses the solver outcome instead of
-/// re-running it; identity fields are still taken from its own job.
+/// Cells keyed by (query text, db fingerprint). The first worker to
+/// reach a key claims it under the mutex and solves; a later worker
+/// waits for that result instead of re-solving, so the number of memo
+/// hits is fixed by the job list. Identity fields are still taken from
+/// each worker's own job.
 struct Memo {
   std::mutex mu;
-  std::unordered_map<std::string, BatchCell> cells;
+  std::unordered_map<std::string, std::shared_future<BatchCell>> cells;
 };
 
 void CopyOutcome(const BatchCell& from, BatchCell* to) {
@@ -56,12 +59,21 @@ BatchCell RunCell(const BatchJob& job, const BatchOptions& opts,
   cell.domain = db.domain_size();
   cell.fingerprint = DatabaseFingerprint(db);
 
-  const std::string key = job.query_text + "|" + cell.fingerprint;
+  std::promise<BatchCell> claim;  // published on every return below
   if (opts.memoize) {
-    std::lock_guard<std::mutex> lock(memo->mu);
-    auto it = memo->cells.find(key);
-    if (it != memo->cells.end()) {
-      CopyOutcome(it->second, &cell);
+    std::shared_future<BatchCell> first;
+    {
+      std::lock_guard<std::mutex> lock(memo->mu);
+      auto [it, claimed] =
+          memo->cells.try_emplace(job.query_text + "|" + cell.fingerprint);
+      if (claimed) {
+        it->second = claim.get_future().share();
+      } else {
+        first = it->second;
+      }
+    }
+    if (first.valid()) {
+      CopyOutcome(first.get(), &cell);
       cell.memo_hit = true;
       return cell;
     }
@@ -82,10 +94,7 @@ BatchCell RunCell(const BatchJob& job, const BatchOptions& opts,
     cell.budget_exceeded = true;
     cell.error = outcome.error;
     cell.verified = true;  // nothing to verify; not a solver bug
-    if (opts.memoize) {
-      std::lock_guard<std::mutex> lock(memo->mu);
-      memo->cells.emplace(key, cell);
-    }
+    if (opts.memoize) claim.set_value(cell);
     return cell;
   }
   cell.unbreakable = r.unbreakable;
@@ -109,10 +118,7 @@ BatchCell RunCell(const BatchJob& job, const BatchOptions& opts,
                         (r.unbreakable || oracle.resilience == r.resilience);
   }
 
-  if (opts.memoize) {
-    std::lock_guard<std::mutex> lock(memo->mu);
-    memo->cells.emplace(key, cell);
-  }
+  if (opts.memoize) claim.set_value(cell);
   return cell;
 }
 

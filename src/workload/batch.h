@@ -127,8 +127,10 @@ struct BatchReport {
 /// Fans the jobs out across a fixed pool of options.threads workers.
 /// Each worker generates its own private database per cell (generation
 /// is deterministic in the params), so results — in particular every
-/// resilience value — are identical for any thread count; only timings
-/// and memo-hit attribution may vary.
+/// resilience value — are identical for any thread count, and so is the
+/// number of memo hits (the first worker to reach a repeated cell
+/// solves it; the others wait for its result). Only timings and which
+/// of the repeated cells gets the hit may vary.
 BatchReport RunBatch(const std::vector<BatchJob>& jobs,
                      const BatchOptions& options);
 

@@ -12,6 +12,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -184,12 +185,113 @@ TEST(SessionRegistryHammerTest, EvictionRacesReadersAndEpochApplies) {
 
 // --- End-to-end over a real socket ------------------------------------------
 
+int ConnectTo(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+/// Writes `script` to a fresh connection and returns every byte the
+/// server sent back until it closed the connection.
+std::string RunScriptOn(int port, const std::string& script) {
+  int fd = ConnectTo(port);
+  // The server may legitimately close mid-send (over-long line), so a
+  // short or failed send is not an error here.
+  ssize_t sent = ::send(fd, script.data(), script.size(), MSG_NOSIGNAL);
+  (void)sent;
+  std::string out;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    out.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return out;
+}
+
+// The golden transcript's request script: replayed through `serve` and
+// through `route`, both must answer tests/golden/server_transcript.golden.
+const char kGoldenScript[] =
+    "# golden transcript: comments and blanks get no reply\n"
+    "\n"
+    "ping\n"
+    "open g1 R(x,y), S(y)\n"
+    "push R(a, b)\n"
+    "push S(b)\n"
+    "push R(c, d)\n"
+    "push S(d)\n"
+    "begin\n"
+    "resilience\n"
+    "stats\n"
+    "- S(b)\n"
+    "epoch\n"
+    "resilience\n"
+    "+ R(a, e)\n"
+    "+ S(e)\n"
+    "epoch\n"
+    "resilience\n"
+    "sessions\n"
+    "classify\n"
+    "classify R(x,y), R(y,z), R(z,x)\n"
+    "push R(z, z)\n"
+    "bogus verb\n"
+    "close\n"
+    "quit\n";
+
+std::string GoldenTranscript() {
+  std::ifstream golden(std::string(RESCQ_SOURCE_DIR) +
+                       "/tests/golden/server_transcript.golden");
+  EXPECT_TRUE(golden.is_open())
+      << "missing tests/golden/server_transcript.golden";
+  std::stringstream expected;
+  expected << golden.rdbuf();
+  return expected.str();
+}
+
+// Idle peers must not starve the handler loops: with 8 idle sockets and
+// one half-sent `ping` held open, a fresh client is still answered, and
+// the half-sent request completes once its newline arrives.
+void ExpectIdleClientsDoNotStarve(int port) {
+  std::vector<int> idle;
+  for (int i = 0; i < 8; ++i) idle.push_back(ConnectTo(port));
+  int partial = ConnectTo(port);
+  EXPECT_EQ(::send(partial, "ping", 4, MSG_NOSIGNAL), 4);
+
+  LineClient fresh;
+  fresh.set_timeout_ms(2000);
+  std::string reply, error;
+  EXPECT_TRUE(fresh.Connect("127.0.0.1", port, &error)) << error;
+  EXPECT_TRUE(fresh.Request("ping", &reply, &error)) << error;
+  EXPECT_EQ(reply, "ok pong");
+
+  timeval timeout{2, 0};
+  ::setsockopt(partial, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  EXPECT_EQ(::send(partial, "\n", 1, MSG_NOSIGNAL), 1);
+  std::string out;
+  char chunk[64];
+  ssize_t n;
+  while (out.find('\n') == std::string::npos &&
+         (n = ::recv(partial, chunk, sizeof(chunk), 0)) > 0) {
+    out.append(chunk, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(out, "ok pong\n");
+  ::close(partial);
+  for (int fd : idle) ::close(fd);
+}
+
 class ServerEndToEndTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ServerOptions options;
     options.port = 0;  // ephemeral
-    options.threads = 4;
+    options.threads = 2;
     engine_ = std::make_unique<ResilienceEngine>();
     server_ = std::make_unique<ResilienceServer>(options, engine_.get());
     std::string error;
@@ -199,35 +301,8 @@ class ServerEndToEndTest : public ::testing::Test {
 
   void TearDown() override { server_->Stop(); }
 
-  int ConnectRaw() {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    return fd;
-  }
-
-  /// Writes `script` to a fresh connection and returns every byte the
-  /// server sent back until it closed the connection.
   std::string RunScript(const std::string& script) {
-    int fd = ConnectRaw();
-    // The server may legitimately close mid-send (over-long line), so a
-    // short or failed send is not an error here.
-    ssize_t sent = ::send(fd, script.data(), script.size(), MSG_NOSIGNAL);
-    (void)sent;
-    std::string out;
-    char chunk[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
-      out.append(chunk, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    return out;
+    return RunScriptOn(server_->port(), script);
   }
 
   std::unique_ptr<ResilienceEngine> engine_;
@@ -239,41 +314,11 @@ class ServerEndToEndTest : public ::testing::Test {
 // deterministic by design (no timings on the wire), so this is an exact
 // comparison — any protocol change must update the golden on purpose.
 TEST_F(ServerEndToEndTest, GoldenTranscript) {
-  const std::string script =
-      "# golden transcript: comments and blanks get no reply\n"
-      "\n"
-      "ping\n"
-      "open g1 R(x,y), S(y)\n"
-      "push R(a, b)\n"
-      "push S(b)\n"
-      "push R(c, d)\n"
-      "push S(d)\n"
-      "begin\n"
-      "resilience\n"
-      "stats\n"
-      "- S(b)\n"
-      "epoch\n"
-      "resilience\n"
-      "+ R(a, e)\n"
-      "+ S(e)\n"
-      "epoch\n"
-      "resilience\n"
-      "sessions\n"
-      "classify\n"
-      "classify R(x,y), R(y,z), R(z,x)\n"
-      "push R(z, z)\n"
-      "bogus verb\n"
-      "close\n"
-      "quit\n";
-  std::string actual = RunScript(script);
+  EXPECT_EQ(RunScript(kGoldenScript), GoldenTranscript());
+}
 
-  std::ifstream golden(std::string(RESCQ_SOURCE_DIR) +
-                       "/tests/golden/server_transcript.golden");
-  ASSERT_TRUE(golden.is_open())
-      << "missing tests/golden/server_transcript.golden";
-  std::stringstream expected;
-  expected << golden.rdbuf();
-  EXPECT_EQ(actual, expected.str());
+TEST_F(ServerEndToEndTest, IdleClientsDoNotStarveTheHandlerLoops) {
+  ExpectIdleClientsDoNotStarve(server_->port());
 }
 
 TEST_F(ServerEndToEndTest, MalformedBytesNeverKillTheServer) {
@@ -404,7 +449,7 @@ class RouterEndToEndTest : public ::testing::Test {
     ASSERT_TRUE(shards_.Start(2, base, &error)) << error;
     RouterOptions options;
     options.shards = shards_.specs();
-    options.threads = 4;
+    options.threads = 2;
     options.connect_timeout_ms = 1000;
     options.request_timeout_ms = 5000;
     options.retries = 1;
@@ -444,6 +489,15 @@ class RouterEndToEndTest : public ::testing::Test {
   InProcessShards shards_;
   std::unique_ptr<ShardRouter> router_;
 };
+
+// The router answers the golden script byte-for-byte like a lone serve.
+TEST_F(RouterEndToEndTest, GoldenTranscript) {
+  EXPECT_EQ(RunScriptOn(router_->port(), kGoldenScript), GoldenTranscript());
+}
+
+TEST_F(RouterEndToEndTest, IdleClientsDoNotStarveTheHandlerLoops) {
+  ExpectIdleClientsDoNotStarve(router_->port());
+}
 
 // A named session lands on its ring owner and stays there across
 // epochs: the owning backend knows it, the other backend does not, and

@@ -184,6 +184,26 @@ TEST(Batch, MemoizationReusesRepeatedCells) {
   EXPECT_EQ(uncached.cells[1].resilience, report.cells[1].resilience);
 }
 
+TEST(Batch, MemoHitCountIsIndependentOfThreads) {
+  // Repeated cells are claimed before they are solved, so every run
+  // reports the serial hit count however its workers interleave.
+  BatchPlan plan;
+  plan.scenarios = AllScenarioNames();
+  plan.sizes = {2, 4, 6};
+  plan.seeds = {1, 2};
+  std::vector<BatchJob> jobs;
+  std::string error;
+  ASSERT_TRUE(ExpandPlan(plan, &jobs, &error)) << error;
+  BatchOptions options;  // threads = 1
+  options.check_oracle = true;
+  const int serial_hits = RunBatch(jobs, options).memo_hits;
+  EXPECT_GT(serial_hits, 0);
+  options.threads = 4;
+  for (int run = 0; run < 5; ++run) {
+    EXPECT_EQ(RunBatch(jobs, options).memo_hits, serial_hits) << "run " << run;
+  }
+}
+
 TEST(Batch, ExpandPlanRejectsUnknownNames) {
   BatchPlan plan;
   plan.scenarios = {"no_such_scenario"};

@@ -867,12 +867,10 @@ int CmdStream(const std::vector<std::string>& args) {
 // The serving process's one server (or router) instance, for the
 // signal handlers. SignalStop is async-signal-safe (a single pipe
 // write).
-ResilienceServer* g_server = nullptr;
-ShardRouter* g_router = nullptr;
+LineServer* g_server = nullptr;
 
 extern "C" void HandleStopSignal(int) {
   if (g_server != nullptr) g_server->SignalStop();
-  if (g_router != nullptr) g_router->SignalStop();
 }
 
 int CmdServe(const std::vector<std::string>& args) {
@@ -997,13 +995,13 @@ int CmdRoute(const std::vector<std::string>& args) {
   std::printf("routing on %s:%d across %zu shards\n", options.host.c_str(),
               router.port(), options.shards.size());
   std::fflush(stdout);
-  g_router = &router;
+  g_server = &router;
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
   router.Wait();
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
-  g_router = nullptr;
+  g_server = nullptr;
   spawned.Stop();
   std::printf("router stopped\n");
   return sinks.Flush();
