@@ -15,7 +15,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,19 +24,13 @@
 #include "db/delta.h"
 #include "resilience/exact_solver.h"
 #include "resilience/incremental.h"
+#include "util/clock.h"
 #include "workload/churn.h"
 #include "workload/generators.h"
 #include "workload/scenario.h"
 
 namespace rescq {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 struct WorkloadConfig {
   const char* name;

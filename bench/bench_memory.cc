@@ -25,7 +25,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -39,19 +38,13 @@
 #include "obs/memstats.h"
 #include "resilience/exact_solver.h"
 #include "resilience/incremental.h"
+#include "util/clock.h"
 #include "workload/churn.h"
 #include "workload/generators.h"
 #include "workload/scenario.h"
 
 namespace rescq {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 struct WorkloadConfig {
   const char* name;

@@ -13,17 +13,14 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "cq/parser.h"
-#include "db/witness.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resilience/exact_solver.h"
@@ -38,21 +35,6 @@ namespace {
 // run. Generous against CI timer noise; the measured ratios on an idle
 // host sit well under 1.1.
 constexpr double kMaxOverheadRatio = 1.30;
-
-double BestMs(const std::function<void()>& fn) {
-  auto once = [&] {
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
-  double best = once();
-  if (best < 200.0) {
-    for (int r = 0; r < 4; ++r) best = std::min(best, once());
-  }
-  return best;
-}
 
 struct ObsRow {
   std::string workload;
@@ -78,14 +60,14 @@ void Measure(const std::string& workload, bool enforced,
   row.enforced = enforced;
 
   obs::SetMetricsEnabled(false);
-  row.dark_ms = BestMs(fn);
+  row.dark_ms = bench::BestMs(fn);
 
   obs::SetMetricsEnabled(true);
   obs::GlobalRegistry().Reset();
-  row.metrics_ms = BestMs(fn);
+  row.metrics_ms = bench::BestMs(fn);
 
   obs::StartTrace();
-  row.full_ms = BestMs(fn);
+  row.full_ms = bench::BestMs(fn);
   obs::StopTrace();
   obs::SetMetricsEnabled(false);
 
@@ -109,42 +91,16 @@ void ProbeRawHelpers() {
   });
 }
 
-std::vector<std::vector<int>> SolveFamily() {
+void ProbeExactSolve() {
   // Element-disjoint copies of the vc_er scenario family — the same
   // multi-component shape bench_parallel scales over.
-  const Scenario* scenario = FindScenario("vc_er");
-  std::vector<std::vector<int>> sets;
-  int offset = 0;
-  for (int c = 0; c < 6; ++c) {
-    ScenarioParams params;
-    params.size = 20;
-    params.seed = static_cast<uint64_t>(c) + 1;
-    Database db = scenario->generate(params);
-    Query q = MustParseQuery(scenario->query);
-    std::map<TupleId, int> ids;
-    for (const std::vector<TupleId>& w : WitnessTupleSets(q, db)) {
-      if (w.empty()) continue;
-      std::vector<int> s;
-      for (TupleId t : w) {
-        auto [it, inserted] = ids.emplace(t, static_cast<int>(ids.size()));
-        s.push_back(offset + it->second);
-      }
-      sets.push_back(std::move(s));
-    }
-    offset += static_cast<int>(ids.size());
-  }
-  return sets;
-}
-
-void ProbeExactSolve() {
-  std::vector<std::vector<int>> sets = SolveFamily();
+  HittingSetFamily family = bench::ScenarioFamily("vc_er", 20, 1, 6);
   for (int threads : {1, 4}) {
     ExactOptions options;
     options.solver_threads = threads;
     Measure("exact-solve-t" + std::to_string(threads), /*enforced=*/true, [&] {
       ExactStats stats;
-      benchmark::DoNotOptimize(
-          SolveMinHittingSet(HittingSetFamily::From(sets), options, &stats));
+      benchmark::DoNotOptimize(SolveMinHittingSet(family, options, &stats));
     });
   }
 }

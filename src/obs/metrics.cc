@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "util/string_util.h"
+
 namespace rescq::obs {
 
 namespace internal {
@@ -124,15 +126,6 @@ void AppendDouble(std::string* out, double v) {
   out->append(buf);
 }
 
-void AppendQuoted(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 void Registry::AppendSnapshotFields(std::string* out, int indent) const {
@@ -144,7 +137,7 @@ void Registry::AppendSnapshotFields(std::string* out, int indent) const {
     out->append(first ? "\n" : ",\n");
     first = false;
     AppendIndent(out, indent + 2);
-    AppendQuoted(out, name);
+    out->append("\"" + JsonEscape(name) + "\"");
     out->append(": ");
     out->append(std::to_string(c->Value()));
   }
@@ -161,7 +154,7 @@ void Registry::AppendSnapshotFields(std::string* out, int indent) const {
     out->append(first ? "\n" : ",\n");
     first = false;
     AppendIndent(out, indent + 2);
-    AppendQuoted(out, name);
+    out->append("\"" + JsonEscape(name) + "\"");
     out->append(": ");
     AppendDouble(out, g->Value());
   }
@@ -178,7 +171,7 @@ void Registry::AppendSnapshotFields(std::string* out, int indent) const {
     out->append(first ? "\n" : ",\n");
     first = false;
     AppendIndent(out, indent + 2);
-    AppendQuoted(out, name);
+    out->append("\"" + JsonEscape(name) + "\"");
     out->append(": {\n");
     AppendIndent(out, indent + 4);
     out->append("\"buckets\": [");

@@ -1,23 +1,18 @@
 #include "resilience/engine.h"
 
-#include <chrono>
+#include <future>
+#include <optional>
 
 #include "db/witness.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resilience/exact_solver.h"
 #include "util/check.h"
+#include "util/clock.h"
 
 namespace rescq {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 ExactOptions MakeExactOptions(const EngineOptions& options) {
   ExactOptions exact;
@@ -43,42 +38,47 @@ std::shared_ptr<const ResiliencePlan> ResilienceEngine::Plan(const Query& q) {
 std::shared_ptr<const ResiliencePlan> ResilienceEngine::PlanInternal(
     const Query& q, bool* cache_hit) {
   const std::string key = q.ToString();
+  // The first miss claims the key with a pending entry and builds the
+  // plan outside the lock: planning can be expensive (isomorphism
+  // probes), and workers planning distinct queries should not
+  // serialize. Concurrent callers for the same key wait on the claim
+  // and count as hits, so each distinct query is planned once.
+  std::optional<std::promise<std::shared_ptr<const ResiliencePlan>>> claim;
+  std::shared_future<std::shared_ptr<const ResiliencePlan>> pending;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
     if (it != index_.end()) {
       ++stats_.hits;
-      *cache_hit = true;
       lru_.splice(lru_.begin(), lru_, it->second);  // mark most recent
-      obs::Count("engine.plan_cache_hits");
-      return it->second->second;
+      pending = it->second->second;
+    } else {
+      ++stats_.misses;
+      if (options_.plan_cache_capacity > 0) {
+        claim.emplace();
+        lru_.emplace_front(key, claim->get_future().share());
+        index_[key] = lru_.begin();
+        while (lru_.size() > options_.plan_cache_capacity) {
+          index_.erase(lru_.back().first);
+          lru_.pop_back();
+          ++stats_.evictions;
+        }
+        stats_.entries = lru_.size();
+      }
     }
-    ++stats_.misses;
-    *cache_hit = false;
+  }
+  *cache_hit = pending.valid();
+  if (*cache_hit) {
+    obs::Count("engine.plan_cache_hits");
+    return pending.get();
   }
   obs::Count("engine.plan_cache_misses");
-  // Build outside the lock: planning can be expensive (isomorphism
-  // probes) and concurrent workers planning distinct queries should not
-  // serialize. A racing duplicate build is benign — the first insert
-  // wins and the losing thread's build is discarded (both builds still
-  // count as cache misses).
   std::shared_ptr<const ResiliencePlan> plan;
   {
     obs::Span span("plan", "engine");
     plan = std::make_shared<const ResiliencePlan>(BuildPlan(q, *registry_));
   }
-  if (options_.plan_cache_capacity == 0) return plan;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second->second;  // lost the race
-  lru_.emplace_front(key, plan);
-  index_[key] = lru_.begin();
-  while (lru_.size() > options_.plan_cache_capacity) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-  stats_.entries = lru_.size();
+  if (claim) claim->set_value(plan);
   return plan;
 }
 

@@ -2,6 +2,7 @@
 #define RESCQ_RESILIENCE_ENGINE_H_
 
 #include <cstdint>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -90,7 +91,11 @@ struct SolveOutcome {
 /// number of threads on one engine instance. The only mutable state is
 /// the plan cache — LRU splices, inserts, evictions, and the hit/miss
 /// counters all happen under mu_, while plan *construction* happens
-/// outside it (a racing duplicate build is benign; first insert wins).
+/// outside it. The first caller to miss a query claims its entry and
+/// builds the plan; concurrent callers for that query wait for the
+/// build and count as hits, so each query is planned and counted as a
+/// miss once (with plan_cache_capacity 0 nothing is claimed and every
+/// call builds).
 /// All per-call state (SolveOutcome, ExactStats, timings) lives on the
 /// caller's stack, so Solve calls never share accumulators. With
 /// options.solver_threads > 1 each Solve additionally runs its own
@@ -121,8 +126,10 @@ class ResilienceEngine {
   const SolverRegistry& registry() const { return *registry_; }
 
  private:
-  using LruList =
-      std::list<std::pair<std::string, std::shared_ptr<const ResiliencePlan>>>;
+  /// A cached plan, or the pending build of the caller that claimed the
+  /// key first.
+  using LruList = std::list<std::pair<
+      std::string, std::shared_future<std::shared_ptr<const ResiliencePlan>>>>;
 
   std::shared_ptr<const ResiliencePlan> PlanInternal(const Query& q,
                                                      bool* cache_hit);

@@ -987,6 +987,39 @@ HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
   return result;
 }
 
+HittingSetFamily DenseHittingSetFamily(const WitnessFamily& family,
+                                       const Database& db,
+                                       std::vector<TupleId>* tuples) {
+  // Straight from the family's spans into the solver's pool — no per-set
+  // vectors in between. The id table is flat: relation r's rows start
+  // at row_base[r], and -1 marks a tuple not seen yet.
+  std::vector<size_t> row_base(static_cast<size_t>(db.num_relations()) + 1, 0);
+  for (int r = 0; r < db.num_relations(); ++r) {
+    row_base[static_cast<size_t>(r) + 1] =
+        row_base[static_cast<size_t>(r)] + static_cast<size_t>(db.NumRows(r));
+  }
+  std::vector<int> ids(row_base.back(), -1);
+  int next_id = 0;
+  if (tuples != nullptr) tuples->clear();
+  HittingSetFamily hs;
+  hs.pool.reserve(family.arena.pool_size());
+  hs.sets.reserve(family.size());
+  for (size_t i = 0; i < family.size(); ++i) {
+    const uint32_t offset = static_cast<uint32_t>(hs.pool.size());
+    for (const TupleId* t = family.begin(i); t != family.end(i); ++t) {
+      int& id = ids[row_base[static_cast<size_t>(t->relation)] +
+                    static_cast<size_t>(t->row)];
+      if (id < 0) {
+        id = next_id++;
+        if (tuples != nullptr) tuples->push_back(*t);
+      }
+      hs.pool.push_back(id);
+    }
+    hs.sets.push_back(SetSpan{offset, family.sets[i].len});
+  }
+  return hs;
+}
+
 ResilienceResult ComputeResilienceExact(const Query& q, const Database& db) {
   return ComputeResilienceExact(q, db, ExactOptions{}, nullptr);
 }
@@ -1019,33 +1052,8 @@ ResilienceResult ComputeResilienceExact(const Query& q, const Database& db,
     return result;  // D does not satisfy q
   }
 
-  // Map tuples to dense element ids in first-seen order, straight from
-  // the family's spans into the solver's pool — no per-set vectors in
-  // between. The id table is flat: relation r's rows start at
-  // row_base[r], and -1 marks a tuple not seen yet.
-  std::vector<size_t> row_base(static_cast<size_t>(db.num_relations()) + 1, 0);
-  for (int r = 0; r < db.num_relations(); ++r) {
-    row_base[static_cast<size_t>(r) + 1] =
-        row_base[static_cast<size_t>(r)] + static_cast<size_t>(db.NumRows(r));
-  }
-  std::vector<int> ids(row_base.back(), -1);
   std::vector<TupleId> tuples;
-  HittingSetFamily hs;
-  hs.pool.reserve(family.arena.pool_size());
-  hs.sets.reserve(family.size());
-  for (size_t i = 0; i < family.size(); ++i) {
-    const uint32_t offset = static_cast<uint32_t>(hs.pool.size());
-    for (const TupleId* t = family.begin(i); t != family.end(i); ++t) {
-      int& id = ids[row_base[static_cast<size_t>(t->relation)] +
-                    static_cast<size_t>(t->row)];
-      if (id < 0) {
-        id = static_cast<int>(tuples.size());
-        tuples.push_back(*t);
-      }
-      hs.pool.push_back(id);
-    }
-    hs.sets.push_back(SetSpan{offset, family.sets[i].len});
-  }
+  HittingSetFamily hs = DenseHittingSetFamily(family, db, &tuples);
   HittingSetResult hs_result = SolveMinHittingSet(hs, options, &local);
   result.resilience = hs_result.size;
   for (int e : hs_result.chosen) {

@@ -133,6 +133,15 @@ HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
 /// feasible upper bound, the exact search need not run at all.
 int HittingSetLowerBound(const HittingSetFamily& family);
 
+/// The hitting-set instance of a witness family of db: each tuple gets a
+/// dense element id in first-seen order (set by set, tuple by tuple),
+/// and tuples[id] (when `tuples` is non-null) is the tuple behind it.
+/// The family must be complete and breakable — no empty set (see
+/// WitnessFamily::unbreakable / budget_exceeded).
+HittingSetFamily DenseHittingSetFamily(const WitnessFamily& family,
+                                       const Database& db,
+                                       std::vector<TupleId>* tuples = nullptr);
+
 /// Exact resilience of q over the active tuples of db: stream witnesses
 /// (deduplicating their endogenous tuple-sets on the fly), then solve
 /// minimum hitting set over the family. Works for every conjunctive

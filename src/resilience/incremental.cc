@@ -1,7 +1,6 @@
 #include "resilience/incremental.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -9,18 +8,12 @@
 #include "obs/trace.h"
 #include "resilience/exact_solver.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/disjoint_set.h"
 
 namespace rescq {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 std::string WitnessBudgetError(size_t limit) {
   return "witness budget exceeded (witness_limit=" + std::to_string(limit) +

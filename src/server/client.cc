@@ -8,20 +8,14 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
+#include "util/clock.h"
 #include "util/string_util.h"
 
 namespace rescq {
 
 namespace {
-
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 bool SendAll(int fd, const std::string& data, std::string* error) {
   size_t sent = 0;
@@ -83,9 +77,9 @@ bool ConnectWithDeadline(int fd, const sockaddr* addr, socklen_t addrlen,
     pollfd pfd;
     pfd.fd = fd;
     pfd.events = POLLOUT;
-    int64_t deadline = NowMs() + timeout_ms;
+    int64_t deadline = SteadyNowMs() + timeout_ms;
     for (;;) {
-      int64_t remaining = deadline - NowMs();
+      int64_t remaining = deadline - SteadyNowMs();
       if (remaining <= 0) {
         *error = "timeout: connect took longer than " +
                  std::to_string(timeout_ms) + "ms";
@@ -170,7 +164,7 @@ bool LineClient::ReadLine(std::string* line, std::string* error) {
   char chunk[4096];
   size_t newline;
   const int64_t deadline =
-      io_timeout_ms_ > 0 ? NowMs() + io_timeout_ms_ : 0;
+      io_timeout_ms_ > 0 ? SteadyNowMs() + io_timeout_ms_ : 0;
   while ((newline = buffer_.find('\n')) == std::string::npos) {
     if (buffer_.size() > kMaxReplyLineBytes) {
       *error = "reply line over " + std::to_string(kMaxReplyLineBytes) +
@@ -181,7 +175,7 @@ bool LineClient::ReadLine(std::string* line, std::string* error) {
       pollfd pfd;
       pfd.fd = fd_;
       pfd.events = POLLIN;
-      int64_t remaining = deadline - NowMs();
+      int64_t remaining = deadline - SteadyNowMs();
       int r = remaining <= 0
                   ? 0
                   : ::poll(&pfd, 1, static_cast<int>(remaining));

@@ -1,9 +1,7 @@
 #include "server/loadgen.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -12,22 +10,15 @@
 #include "db/tuple_io.h"
 #include "resilience/exact_solver.h"
 #include "server/client.h"
+#include "util/clock.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
 #include "workload/churn.h"
-#include "workload/report.h"
 #include "workload/scenario.h"
 
 namespace rescq {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 /// What one connection's worker measured and concluded.
 struct ConnResult {
@@ -340,24 +331,16 @@ void WriteLoadgenJson(const LoadgenReport& report, std::ostream& out) {
 
 bool SaveLoadgenCsv(const LoadgenReport& report, const std::string& path,
                     std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    *error = "cannot create " + path;
-    return false;
-  }
-  WriteLoadgenCsv(report, out);
-  return true;
+  return SaveFile(
+      path, path, [&](std::ostream& out) { WriteLoadgenCsv(report, out); },
+      error);
 }
 
 bool SaveLoadgenJson(const LoadgenReport& report, const std::string& path,
                      std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    *error = "cannot create " + path;
-    return false;
-  }
-  WriteLoadgenJson(report, out);
-  return true;
+  return SaveFile(
+      path, path, [&](std::ostream& out) { WriteLoadgenJson(report, out); },
+      error);
 }
 
 }  // namespace rescq

@@ -1,41 +1,21 @@
 #include "server/protocol.h"
 
-#include <chrono>
 #include <utility>
 
 #include "complexity/classifier.h"
 #include "cq/parser.h"
 #include "db/tuple_io.h"
 #include "obs/metrics.h"
+#include "util/clock.h"
 #include "util/string_util.h"
 
 namespace rescq {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
 std::string Err(const char* code, const std::string& message) {
   obs::Count("server.errors");
   return std::string("err ") + code + " " + message + "\n";
-}
-
-/// Splits "verb rest-of-line" (rest may be empty).
-void SplitVerb(std::string_view line, std::string_view* verb,
-               std::string_view* rest) {
-  size_t space = line.find_first_of(" \t");
-  if (space == std::string_view::npos) {
-    *verb = line;
-    *rest = std::string_view();
-    return;
-  }
-  *verb = line.substr(0, space);
-  *rest = Trim(line.substr(space + 1));
 }
 
 /// Parses trailing "key=value" budget options ("witness_limit=100

@@ -1,36 +1,15 @@
 #include "server/router.h"
 
-#include <chrono>
 #include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "server/session_registry.h"
+#include "util/clock.h"
 #include "util/string_util.h"
 
 namespace rescq {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-/// Splits "verb rest-of-line" (rest may be empty).
-void SplitVerb(std::string_view line, std::string_view* verb,
-               std::string_view* rest) {
-  size_t space = line.find_first_of(" \t");
-  if (space == std::string_view::npos) {
-    *verb = line;
-    *rest = std::string_view();
-    return;
-  }
-  *verb = line.substr(0, space);
-  *rest = Trim(line.substr(space + 1));
-}
 
 std::string RouterErr(const char* code, const std::string& message) {
   obs::Count("shard.errors");

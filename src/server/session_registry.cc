@@ -1,15 +1,8 @@
 #include "server/session_registry.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace rescq {
-
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 namespace {
 

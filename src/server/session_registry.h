@@ -13,6 +13,7 @@
 #include "db/database.h"
 #include "db/delta.h"
 #include "resilience/incremental.h"
+#include "util/clock.h"
 
 namespace rescq {
 
@@ -55,10 +56,6 @@ struct SessionEntry {
 
   bool live() const { return session != nullptr; }
 };
-
-/// Monotonic milliseconds for idle accounting (steady_clock, so wall
-/// clock adjustments cannot make a hot session look idle).
-int64_t SteadyNowMs();
 
 /// Thread-safe name -> session map. Entries are handed out as
 /// shared_ptr so a connection can keep using a handle it resolved even

@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 namespace rescq {
 
@@ -63,6 +64,55 @@ std::string StrFormat(const char* fmt, ...) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+void SplitVerb(std::string_view line, std::string_view* verb,
+               std::string_view* rest) {
+  size_t space = line.find_first_of(" \t");
+  if (space == std::string_view::npos) {
+    *verb = line;
+    *rest = std::string_view();
+    return;
+  }
+  *verb = line.substr(0, space);
+  *rest = Trim(line.substr(space + 1));
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        out += c;
+    }
+  }
+  return out;
+}
+
+const char* BoolName(bool b) { return b ? "true" : "false"; }
+
+bool SaveFile(const std::string& path, const std::string& what,
+              FunctionRef<void(std::ostream&)> write, std::string* error) {
+  std::ofstream out(path);
+  if (!out) {
+    *error = "cannot create " + what;
+    return false;
+  }
+  write(out);
+  return true;
 }
 
 namespace {

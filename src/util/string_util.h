@@ -2,9 +2,12 @@
 #define RESCQ_UTIL_STRING_UTIL_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/function_ref.h"
 
 namespace rescq {
 
@@ -24,6 +27,25 @@ std::string StrFormat(const char* fmt, ...)
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Splits "verb rest-of-line" at the first space or tab; *rest is
+/// trimmed and may be empty.
+void SplitVerb(std::string_view line, std::string_view* verb,
+               std::string_view* rest);
+
+/// `s` escaped for the inside of a JSON string literal (quote,
+/// backslash, newline and tab) — the one escaper every JSON report
+/// writer uses.
+std::string JsonEscape(std::string_view s);
+
+/// "true" / "false".
+const char* BoolName(bool b);
+
+/// Creates (or truncates) the file at `path` and lets `write` fill it.
+/// False, with *error = "cannot create " + `what`, when the file cannot
+/// be created; `what` names the file the way the caller's messages do.
+bool SaveFile(const std::string& path, const std::string& what,
+              FunctionRef<void(std::ostream&)> write, std::string* error);
 
 // Strict numeric parsers shared by the CLI flags and batch plan files.
 // All of them require the whole string to parse and reject out-of-range

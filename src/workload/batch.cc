@@ -1,7 +1,6 @@
 #include "workload/batch.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <future>
@@ -13,6 +12,7 @@
 #include "resilience/engine.h"
 #include "resilience/exact_solver.h"
 #include "resilience/solver.h"
+#include "util/clock.h"
 #include "util/fnv.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
@@ -80,11 +80,9 @@ BatchCell RunCell(const BatchJob& job, const BatchOptions& opts,
   }
 
   Query q = MustParseQuery(job.query_text);
-  auto start = std::chrono::steady_clock::now();
+  Clock::time_point start = Clock::now();
   SolveOutcome outcome = engine->Solve(q, db);
-  cell.wall_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
+  cell.wall_ms = MsSince(start);
   const ResilienceResult& r = outcome.result;
   cell.plan_cache_hit = outcome.plan_cache_hit;
   if (!outcome.error.empty()) {
@@ -291,13 +289,11 @@ BatchReport RunBatch(const std::vector<BatchJob>& jobs,
   engine_options.solver_threads = options.solver_threads;
   ResilienceEngine engine(engine_options);
 
-  auto start = std::chrono::steady_clock::now();
+  Clock::time_point start = Clock::now();
   ParallelFor(std::max(1, options.threads), jobs.size(), [&](size_t i) {
     report.cells[i] = RunCell(jobs[i], options, &engine, &memo);
   });
-  report.elapsed_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
+  report.elapsed_ms = MsSince(start);
 
   for (const BatchCell& cell : report.cells) {
     if (cell.budget_exceeded) {

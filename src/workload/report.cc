@@ -1,38 +1,11 @@
 #include "workload/report.h"
 
-#include <fstream>
 #include <ostream>
 
 #include "obs/metrics.h"
 #include "util/string_util.h"
 
 namespace rescq {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-const char* BoolName(bool b) { return b ? "true" : "false"; }
 
 void WriteReportCsv(const BatchReport& report, std::ostream& out) {
   out << "query,scenario,size,density,seed,tuples,domain,fingerprint,"
@@ -104,30 +77,18 @@ void WriteReportJson(const BatchReport& report, std::ostream& out) {
   out << "  ]\n}\n";
 }
 
-namespace {
-
-bool SaveWith(void (*write)(const BatchReport&, std::ostream&),
-              const BatchReport& report, const std::string& path,
-              std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    *error = "cannot create report file '" + path + "'";
-    return false;
-  }
-  write(report, out);
-  return true;
-}
-
-}  // namespace
-
 bool SaveReportCsv(const BatchReport& report, const std::string& path,
                    std::string* error) {
-  return SaveWith(WriteReportCsv, report, path, error);
+  return SaveFile(
+      path, "report file '" + path + "'",
+      [&](std::ostream& out) { WriteReportCsv(report, out); }, error);
 }
 
 bool SaveReportJson(const BatchReport& report, const std::string& path,
                     std::string* error) {
-  return SaveWith(WriteReportJson, report, path, error);
+  return SaveFile(
+      path, "report file '" + path + "'",
+      [&](std::ostream& out) { WriteReportJson(report, out); }, error);
 }
 
 void PrintReportTable(const BatchReport& report, std::FILE* out) {

@@ -9,12 +9,6 @@
 
 namespace rescq {
 
-// Tiny JSON-writer helpers shared by the batch and stream report
-// writers — one escaping implementation, so the two reports cannot
-// silently diverge.
-std::string JsonEscape(const std::string& s);
-const char* BoolName(bool b);
-
 /// CSV, one row per cell plus a header row. Column order is part of the
 /// schema (docs/WORKLOADS.md): every column up to and including
 /// `oracle_resilience` (1-15) is deterministic for a given plan

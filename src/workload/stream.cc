@@ -1,24 +1,15 @@
 #include "workload/stream.h"
 
-#include <chrono>
-#include <fstream>
 #include <ostream>
 
 #include "obs/metrics.h"
 #include "resilience/exact_solver.h"
+#include "util/clock.h"
 #include "util/string_util.h"
-#include "workload/report.h"
 
 namespace rescq {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 StreamRow RowFromOutcome(const EpochOutcome& o, const IncrementalSession& s) {
   StreamRow row;
@@ -71,7 +62,7 @@ StreamReport RunStream(const Query& q, const std::string& query_name,
   engine_options.solver_threads = options.solver_threads;
   IncrementalSession session(q, base, engine_options);
 
-  StreamRow row = RowFromOutcome(session.current(), session);
+  StreamRow row = RowFromOutcome(session.Peek(), session);
   MaybeCheckOracle(q, session, options, &row);
   report.rows.push_back(row);
   for (const Epoch& epoch : log.epochs) {
@@ -154,30 +145,18 @@ void WriteStreamJson(const StreamReport& report, std::ostream& out) {
   out << "  ]\n}\n";
 }
 
-namespace {
-
-bool SaveWith(void (*write)(const StreamReport&, std::ostream&),
-              const StreamReport& report, const std::string& path,
-              std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    *error = "cannot create report file '" + path + "'";
-    return false;
-  }
-  write(report, out);
-  return true;
-}
-
-}  // namespace
-
 bool SaveStreamCsv(const StreamReport& report, const std::string& path,
                    std::string* error) {
-  return SaveWith(WriteStreamCsv, report, path, error);
+  return SaveFile(
+      path, "report file '" + path + "'",
+      [&](std::ostream& out) { WriteStreamCsv(report, out); }, error);
 }
 
 bool SaveStreamJson(const StreamReport& report, const std::string& path,
                     std::string* error) {
-  return SaveWith(WriteStreamJson, report, path, error);
+  return SaveFile(
+      path, "report file '" + path + "'",
+      [&](std::ostream& out) { WriteStreamJson(report, out); }, error);
 }
 
 void PrintStreamTable(const StreamReport& report, std::FILE* out) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <iterator>
 #include <set>
 #include <sstream>
@@ -291,15 +292,17 @@ TEST(Engine, FallbackReasonsRecordDeclinedConstructions) {
 }
 
 // A registry whose only construction always declines, to exercise the
-// exact fallback deterministically.
-SolverRegistry DecliningRegistry() {
+// exact fallback deterministically. Its probe sleeps `probe_ms`, which
+// makes planning slow enough for concurrent plans to overlap.
+SolverRegistry DecliningRegistry(int probe_ms = 0) {
   SolverRegistry registry;
   SolverEntry declines;
   declines.kind = SolverKind::kLinearFlow;
   declines.name = "linear-flow";
   declines.citation = "test";
   declines.description = "always declines";
-  declines.probe = [](const Query&, const Classification& c) {
+  declines.probe = [probe_ms](const Query&, const Classification& c) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(probe_ms));
     return c.complexity == Complexity::kPTime;
   };
   declines.run = [](const Query&,
@@ -352,6 +355,25 @@ TEST(Engine, DecliningConstructionFallsBackToExact) {
   EXPECT_EQ(out.result.resilience,
             ComputeResilienceExact(q, db).resilience);
   ASSERT_FALSE(out.fallback_reasons.empty());
+}
+
+// Concurrent first plans of one query wait for the build of the caller
+// that missed first: the query is planned, and counted as a miss, once.
+TEST(Engine, ConcurrentFirstPlansOfOneQueryBuildItOnce) {
+  static const SolverRegistry registry = DecliningRegistry(/*probe_ms=*/50);
+  ResilienceEngine engine(EngineOptions{}, &registry);
+  Query q = MustParseQuery("A(x), R(x,y), R(z,y), C(z)");
+  std::vector<std::shared_ptr<const ResiliencePlan>> plans(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < plans.size(); ++t) {
+    threads.emplace_back([&, t] { plans[t] = engine.Plan(q); });
+  }
+  for (std::thread& t : threads) t.join();
+  PlanCacheStats stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.entries, 1u);
+  for (const auto& plan : plans) EXPECT_EQ(plan, plans[0]);
 }
 
 // --- Explain -----------------------------------------------------------------

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 
 #include "cq/parser.h"
 #include "db/database.h"
@@ -218,18 +217,8 @@ HittingSetFamily ScenarioFamily(const char* name, int size, uint64_t seed) {
   params.seed = seed;
   Database db = scenario->generate(params);
   Query q = MustParseQuery(scenario->query);
-  WitnessFamily witnesses = CollectWitnessFamily(q, db, kNoWitnessLimit);
-  std::map<TupleId, int> ids;
-  HittingSetFamily family;
-  for (size_t i = 0; i < witnesses.size(); ++i) {
-    std::vector<int> set;
-    for (const TupleId* t = witnesses.begin(i); t != witnesses.end(i); ++t) {
-      set.push_back(
-          ids.emplace(*t, static_cast<int>(ids.size())).first->second);
-    }
-    family.Add(set);
-  }
-  return family;
+  return DenseHittingSetFamily(CollectWitnessFamily(q, db, kNoWitnessLimit),
+                               db);
 }
 
 void MixU64(uint64_t v, Fnv1a* h) {

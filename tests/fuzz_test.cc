@@ -368,7 +368,7 @@ TEST(Fuzz, ParallelIncrementalChurnSweep) {
             << q.ToString() << " round " << round << " epoch " << epoch;
       }
     };
-    check(serial.current(), parallel.current());
+    check(serial.Peek(), parallel.Peek());
     if (::testing::Test::HasFatalFailure()) return;
     for (const Epoch& e : log.epochs) {
       ++epoch;
@@ -453,7 +453,7 @@ TEST(Fuzz, IncrementalSessionDifferentialSweep) {
               << entry.name << " " << kind.name << " seed " << seed
               << " epoch " << epoch;
         };
-        check(session.current());
+        check(session.Peek());
         if (::testing::Test::HasFatalFailure()) return;
         for (const Epoch& e : log.epochs) {
           ++epoch;
